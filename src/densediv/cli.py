@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -18,25 +17,9 @@ from . import families, gzero, reference, rho
 from ._constants import EULER_GAMMA
 from .errors import DenseDivError, ResourceLimitError
 from .families import FamilySpec
-from .integers import factorize
 
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, rationals parsed exactly from 'p/q' or decimal strings."""
-
-    command: str
-    family: str | None = None
-    y: Fraction | None = None
-    i: int | None = None
-    a: Fraction | None = None
-    beta: Fraction | None = None
-    x: int | None = None
-    squarefree: bool = False
-    fmt: str = "plain"
 
 
 def _fraction(text: str) -> Fraction:
@@ -125,7 +108,7 @@ def _with_family_opts(fn):
 def member(family, y_, i_, a_, squarefree, n):
     """Is n a member of the family?"""
     spec = _make_spec(family, y_, i_, a_, squarefree)
-    ok = _guard(families.is_member, factorize(n), spec)
+    ok = _guard(families.is_member, n, spec)
     click.echo("true" if ok else "false")
 
 

@@ -91,27 +91,6 @@ class CountReport:
 # ---------------------------------------------------------------------------
 
 
-def _theta_allows(spec: FamilySpec, p: int, m: int) -> bool:
-    """Exact test p <= theta(m) for the chain families."""
-    py, qy = spec.y.numerator, spec.y.denominator
-    kind = spec.kind
-    if kind == "smooth":
-        return p * qy <= py
-    if kind == "bpower":
-        pa, qa = spec.a.numerator, spec.a.denominator
-        return p**qa * qy**qa <= py**qa * m**pa
-    if kind == "bstar":
-        pa, qa = spec.a.numerator, spec.a.denominator
-        return p * qy <= py or p**qa * qy**pa <= py**pa * m**pa
-    if kind == "thetalower":
-        i = spec.i
-        return p * qy <= py or p**i * qy <= py * m
-    if kind == "thetaupper":
-        i = spec.i
-        return p**i * qy**i <= py**i * m
-    raise DomainError(f"{kind} is not a chain family")
-
-
 def _kth_root_floor(num: int, k: int) -> int:
     """floor(num**(1/k)) for num >= 0, exact (integer Newton)."""
     if num < 0:
@@ -133,7 +112,12 @@ def _kth_root_floor(num: int, k: int) -> int:
 
 def theta_floor(spec: FamilySpec, m: int) -> int:
     """Exact floor(theta(m)) for a chain family; P^-(n) > theta(m) iff
-    P^-(n) > theta_floor since prime factors are integers."""
+    P^-(n) > theta_floor since prime factors are integers.
+
+    Dense(2) is the chain family of theta_2 (see theta2_of), the identity
+    check_theta2 verifies against the definition."""
+    if spec.kind == "dense" and spec.i == 2:
+        return math.floor(theta2_of(m, spec.y))
     py, qy = spec.y.numerator, spec.y.denominator
     kind = spec.kind
     if kind == "smooth":
@@ -159,7 +143,7 @@ def _chain_member(spec: FamilySpec, f: FactoredInteger) -> bool:
         return False
     m = 1
     for p in f.prime_list():
-        if not _theta_allows(spec, p, m):
+        if p > theta_floor(spec, m):
             return False
         m *= p
     return True
@@ -275,6 +259,11 @@ def is_member(n: int | FactoredInteger, spec: FamilySpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _is_chain(spec: FamilySpec) -> bool:
+    """Chain kinds, and Dense(2) through theta_2."""
+    return spec.kind in _B_KINDS or (spec.kind == "dense" and spec.i == 2)
+
+
 def _prime_ceiling(spec: FamilySpec, x: int) -> int:
     """Safe upper bound for primes appearing in members <= x."""
     yf = float(spec.y)
@@ -288,93 +277,33 @@ def _prime_ceiling(spec: FamilySpec, x: int) -> int:
 
 
 def _iter_tree(spec: FamilySpec, x: int, collect: bool, node_budget: int = 200_000_000):
-    """DFS over nondecreasing prime chains obeying theta; every node is a member."""
+    """DFS over nondecreasing prime chains p <= theta_floor(m); every node is a member.
+
+    The children of node m are the primes from P^+(m) (strictly above it when
+    squarefree) up to min(theta(m), x // m); one bisect counts them all.  Only
+    children with p <= isqrt(x // m) are pushed: a larger p has m p^2 > x, so
+    m p has no child.  node_budget bounds the number of members above 1.
+    """
     if x < 1:
         raise DomainError("x must be >= 1")
     primes = primes_upto(_prime_ceiling(spec, x))
     members = [1] if collect else None
     count = 1
-    sf = spec.squarefree
+    step = 1 if spec.squarefree else 0
     stack = [(1, 0)]
-    nodes = 0
     while stack:
         m, i0 = stack.pop()
         lim = x // m
-        hi = bisect_right(primes, lim)
-        for idx in range(i0, hi):
-            p = primes[idx]
-            if not _theta_allows(spec, p, m):
-                break
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceLimitError("enumeration node budget exceeded")
-            child = m * p
-            count += 1
-            if collect:
-                members.append(child)
-            stack.append((child, idx + 1 if sf else idx))
-    return count, members
-
-
-def _count_dense2_tree(x: int, y: Fraction, squarefree: bool, collect: bool):
-    """Dense(2) via the ThetaUpper(2) superset tree, filtering each candidate
-    with an incrementally maintained divisor list + Dense(1) flags.
-
-    A divisor d*p with p >= P^+(d) is Dense(1) iff d is Dense(1) and p <= y d
-    (Tenenbaum chain extension), which makes the filter O(tau) per node.
-    """
-    py, qy = y.numerator, y.denominator
-    PY2, QY2 = py * py, qy * qy
-    primes = primes_upto(int((float(y) ** 2 * x) ** (1.0 / 3.0)) + int(float(y)) + 10)
-    members = [1] if collect else None
-    count = 1
-
-    def chain_ok(divs: list[int], flags: list[bool]) -> bool:
-        if not flags[-1]:
-            return False
-        last = 1
-        for d, f in zip(divs, flags):
-            if f:
-                if d * qy > last * py:
-                    return False
-                last = d
-        return True
-
-    stack = [(1, 0, [1], [True])]
-    while stack:
-        m, i0, divs, flags = stack.pop()
-        lim = x // m
-        hi = bisect_right(primes, lim)
-        for idx in range(i0, hi):
-            p = primes[idx]
-            if p * p * QY2 > PY2 * m:
-                break
-            dp = [d * p for d in divs]
-            nd: list[int] = []
-            nf: list[bool] = []
-            n1 = len(divs)
-            j = k = 0
-            while j < n1 or k < n1:
-                if j < n1 and (k >= n1 or divs[j] <= dp[k]):
-                    if nd and nd[-1] == divs[j]:
-                        j += 1
-                        continue
-                    nd.append(divs[j])
-                    nf.append(flags[j])
-                    j += 1
-                else:
-                    if nd and nd[-1] == dp[k]:
-                        k += 1
-                        continue
-                    nd.append(dp[k])
-                    nf.append(flags[k] and p * qy <= py * divs[k])
-                    k += 1
-            child = m * p
-            if chain_ok(nd, nf):
-                count += 1
-                if collect:
-                    members.append(child)
-            stack.append((child, idx + 1 if squarefree else idx, nd, nf))
+        hi = bisect_right(primes, min(theta_floor(spec, m), lim))
+        if hi <= i0:
+            continue
+        count += hi - i0
+        if count - 1 > node_budget:
+            raise ResourceLimitError("enumeration node budget exceeded")
+        if collect:
+            members.extend([m * p for p in primes[i0:hi]])
+        inner = min(hi, bisect_right(primes, math.isqrt(lim)))
+        stack.extend([(m * primes[idx], idx + step) for idx in range(i0, inner)])
     return count, members
 
 
@@ -382,15 +311,11 @@ def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
     """All members of the family up to x, sorted increasing."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    if spec.kind in _B_KINDS:
+    if _is_chain(spec):
         _, members = _iter_tree(spec, x, collect=True)
         members.sort()
         return members
-    if spec.kind == "dense" and spec.i == 2:
-        _, members = _count_dense2_tree(x, spec.y, spec.squarefree, collect=True)
-        members.sort()
-        return members
-    # Dense/StrongDense: enumerate the ThetaUpper(i) superset, filter exactly.
+    # Dense(i >= 3)/StrongDense: enumerate the ThetaUpper(i) superset, filter exactly.
     superset = enumerate_members(
         FamilySpec("thetaupper", spec.y, i=spec.i, squarefree=spec.squarefree), x
     )
@@ -403,11 +328,8 @@ def count_members(spec: FamilySpec, x: int) -> int:
     """The counting function of the family at x (exact)."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    if spec.kind in _B_KINDS:
+    if _is_chain(spec):
         count, _ = _iter_tree(spec, x, collect=False)
-        return count
-    if spec.kind == "dense" and spec.i == 2:
-        count, _ = _count_dense2_tree(x, spec.y, spec.squarefree, collect=False)
         return count
     return len(enumerate_members(spec, x))
 
@@ -550,27 +472,25 @@ class SSFValue:
         return float(self.key) ** (1.0 / self.beta.denominator)
 
 
+def _ssf_keys(f: FactoredInteger, pb: int, qb: int):
+    """(d, d**qb * P^-(d)**pb) for each divisor d > 1 of f.n, increasing in d:
+    the exact key of d * P^-(d)**beta for beta = pb/qb."""
+    for d in divisors(f)[1:]:
+        for q, _ in f.factors:
+            if d % q == 0:
+                yield d, d**qb * q**pb
+                break
+
+
 def schinzel_szekeres(n: int | FactoredInteger, beta: Fraction | int) -> SSFValue:
     """F_beta(n) = max over divisors d > 1 of d * (P^-(d))^beta; F_beta(1) = 1."""
     beta = Fraction(beta)
     if beta <= 0:
         raise DomainError("beta must be > 0")
     f = n if isinstance(n, FactoredInteger) else factorize(n)
-    pb, qb = beta.numerator, beta.denominator
-    if f.n == 1:
-        return SSFValue(d=1, key=1, beta=beta)
-    best_d, best_key = 1, 1
-    for d in divisors(f):
-        if d == 1:
-            continue
-        p = d
-        for q, _ in f.factors:
-            if d % q == 0:
-                p = q
-                break
-        key = d**qb * p**pb
-        if key > best_key:
-            best_key, best_d = key, d
+    best_d, best_key = max(
+        _ssf_keys(f, beta.numerator, beta.denominator), key=lambda dk: dk[1], default=(1, 1)
+    )
     return SSFValue(d=best_d, key=best_key, beta=beta)
 
 
@@ -578,18 +498,8 @@ def _ssf_below(f: FactoredInteger, bound_num: int, bound_den: int, pb: int, qb: 
     """Exact F_beta(n) <= bound (bound = bound_num/bound_den), beta = pb/qb."""
     if f.n == 1:
         return bound_num >= bound_den
-    for d in divisors(f):
-        if d == 1:
-            continue
-        p = d
-        for q, _ in f.factors:
-            if d % q == 0:
-                p = q
-                break
-        # d * p^beta <= B  <=>  d^qb p^pb B_den^qb <= B_num^qb
-        if d**qb * p**pb * bound_den**qb > bound_num**qb:
-            return False
-    return True
+    # d * p^beta <= B  <=>  d^qb p^pb B_den^qb <= B_num^qb
+    return all(key * bound_den**qb <= bound_num**qb for _, key in _ssf_keys(f, pb, qb))
 
 
 def count_A_beta(x: int, y: Fraction | int, beta: Fraction | int, squarefree: bool = False) -> int:
@@ -736,24 +646,12 @@ def check_ssf_identity(x: int, y: Fraction | int, beta: Fraction | int) -> bool:
     beta = Fraction(beta)
     pb, qb = beta.numerator, beta.denominator
     spf = sieve_spf(max(x, 2))
-    lhs = 0
-    for n in range(1, x + 1):
-        f = factorize(n, spf)
-        # F_beta(n) <= n y^beta  <=>  every d: d^qb p^pb y_den^pb <= n^qb y_num^pb
-        ok = True
-        for d in divisors(f):
-            if d == 1:
-                continue
-            p = d
-            for q, _ in f.factors:
-                if d % q == 0:
-                    p = q
-                    break
-            if d**qb * p**pb * y.denominator**pb > n**qb * y.numerator**pb:
-                ok = False
-                break
-        if ok:
-            lhs += 1
+    yn, yd = y.numerator**pb, y.denominator**pb
+    # F_beta(n) <= n y^beta  <=>  every d: d^qb p^pb y_den^pb <= n^qb y_num^pb
+    lhs = sum(
+        all(key * yd <= n**qb * yn for _, key in _ssf_keys(factorize(n, spf), pb, qb))
+        for n in range(1, x + 1)
+    )
     rhs = count_members(FamilySpec("bpower", y, a=Fraction(1) / beta), x)
     return lhs == rhs
 
@@ -767,47 +665,38 @@ def check_ssf_identity_range(x_max: int, y: Fraction | int, beta: Fraction | int
     pb, qb = beta.numerator, beta.denominator
     members = set(enumerate_members(FamilySpec("bpower", y, a=Fraction(1) / beta), x_max))
     spf = sieve_spf(max(x_max, 2))
+    yn, yd = y.numerator**pb, y.denominator**pb
     for n in range(1, x_max + 1):
-        f = factorize(n, spf)
-        ok = True
-        for d in divisors(f):
-            if d == 1:
-                continue
-            p = d
-            for q, _ in f.factors:
-                if d % q == 0:
-                    p = q
-                    break
-            if d**qb * p**pb * y.denominator**pb > n**qb * y.numerator**pb:
-                ok = False
-                break
+        ok = all(key * yd <= n**qb * yn for _, key in _ssf_keys(factorize(n, spf), pb, qb))
         if ok != (n in members):
             return False
     return True
 
 
-def _d1_member(n: int, y: Fraction, spf=None) -> bool:
-    """Tenenbaum chain: n in Dense(1) iff p_{j+1} <= y p_1...p_j for all j."""
-    if n == 1:
-        return True
-    f = factorize(n, spf)
-    py, qy = y.numerator, y.denominator
-    m = 1
-    for p in f.prime_list():
-        if p * qy > py * m:
-            return False
-        m *= p
-    return True
-
-
 def theta2_of(m: int, y: Fraction, spf=None) -> Fraction:
-    """theta(m) = y * max over Dense(1)-divisors d of min(m/d, d)."""
-    best = 0
-    f = factorize(m, spf)
-    for d in divisors(f):
-        md = min(m // d, d)
-        if md > best and _d1_member(d, y, spf):
-            best = md
+    """theta(m) = y * max over Dense(1)-divisors d of min(m/d, d).
+
+    The Dense(1) divisors grow from 1 by the Tenenbaum chain: for a prime
+    p >= P^+(d) of m/d, d p is Dense(1) iff d is and p <= y d.  Once
+    d*d >= m, min(m/d, d) = m/d only falls along the chain, so d is a leaf."""
+    py, qy = y.numerator, y.denominator
+    factors = factorize(m, spf).factors
+    best = 1
+    stack = [(1, 0, 0)]  # (d, index of P^+(d) in factors, its exponent in d)
+    while stack:
+        d, k0, e0 = stack.pop()
+        if d * d >= m:
+            best = max(best, m // d)
+            continue
+        best = max(best, d)
+        for k in range(k0, len(factors)):
+            p, e = factors[k]
+            if p * qy > py * d:
+                break
+            if k > k0:
+                stack.append((d * p, k, 1))
+            elif e0 < e:
+                stack.append((d * p, k, e0 + 1))
     return y * best
 
 

@@ -18,6 +18,9 @@ from .errors import DomainError, ResourceLimitError
 # divisor lists are re-enumerated heavily by the recursive family tests.
 DEFAULT_SIEVE_BUDGET = 1 << 27
 DEFAULT_DIVISOR_CAP = 1 << 20
+# Trial division stops at this divisor: every n < 2**40 (~1.1e12) factors,
+# and so does any n whose second-largest prime factor is below it.
+TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ def primes_upto(n: int) -> list[int]:
 def factorize(n: int, spf: np.ndarray | None = None) -> FactoredInteger:
     """Factor n >= 1 into a FactoredInteger.
 
-    Uses the spf table when it covers n, trial division otherwise.
+    Uses the spf table when it covers n, trial division otherwise.  Raises
+    ResourceLimitError when trial division would pass TRIAL_DIVISION_LIMIT.
     """
     if n < 1:
         raise DomainError(f"positive integer required, got {n}")
@@ -128,14 +132,20 @@ def factorize(n: int, spf: np.ndarray | None = None) -> FactoredInteger:
     else:
         m = n
         d = 2
-        while d * d <= m:
+        stop = min(math.isqrt(m), TRIAL_DIVISION_LIMIT)
+        while d <= stop:
             if m % d == 0:
                 e = 0
                 while m % d == 0:
                     m //= d
                     e += 1
                 factors.append((d, e))
+                stop = min(math.isqrt(m), TRIAL_DIVISION_LIMIT)
             d += 1 if d == 2 else 2
+        if d * d <= m:
+            raise ResourceLimitError(
+                f"factoring {n} needs trial division past {TRIAL_DIVISION_LIMIT}"
+            )
         if m > 1:
             factors.append((m, 1))
     return FactoredInteger(n, tuple(factors))

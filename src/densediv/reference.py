@@ -42,8 +42,7 @@ C_TABLE = {
     10: "50.410",
 }
 
-# mu_{1/i} strip widths and the dominant complex pole pair (approximate)
-MU_TABLE = {1: 3.03, 2: 4.65, 3: 6.50, 4: 8.52, 5: 10.7}
+# the dominant complex pole pair (approximate)
 COMPLEX_POLE = {1: (-3.03, 11.36), 2: (-4.65, 18.71), 3: (-6.50, 25.73)}
 
 # positive zeros of the oscillatory integral K

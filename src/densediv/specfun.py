@@ -47,12 +47,6 @@ class OmegaTable:
     def u_max(self) -> float:
         return float(self.us[-1])
 
-    def accuracy_bound(self, u: float) -> float:
-        """Per-point accuracy estimate: solver error, or the tail lemma bound."""
-        if u <= OMEGA_SWITCH:
-            return 1e-12
-        return 1.0 / math.gamma(u + 1.0)
-
 
 def _omega_23(u: float) -> float:
     return (1.0 + math.log(u - 1.0)) / u

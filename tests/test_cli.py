@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +141,12 @@ class TestVerifyAndDeterminism:
     def test_resource_limit_exit_code(self, runner):
         r = runner.invoke(main, ["rho-table", "--a", "1", "--u-max", "600"])
         assert r.exit_code == 3
+        # a prime near 1e18 is past the trial-division budget
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["member", "--family", "dense", "--i", "2", "--y", "2",
+                                 "--n", "1000000000000000003"])
+        assert r.exit_code == 3
+        assert time.monotonic() - t0 < 5.0
 
     def test_verification_failure_exit_code(self, runner, monkeypatch):
         from densediv import cli as cli_mod

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densediv.errors import DomainError
+from densediv.errors import DomainError, ResourceLimitError
 from densediv.families import (
     FamilyOracle,
+    _iter_tree,
     FamilySpec,
     count_A_beta,
     count_family,
@@ -165,12 +166,47 @@ class TestSandwichSmall:
 
 class TestEnumerationConsistency:
     def test_dense2_fast_path_matches_filter(self):
-        for y in (Y2, Fraction(5, 2)):
+        cases = [(y, False) for y in (Y2, Fraction(5, 2), Fraction(7, 3), Fraction(10))]
+        cases.append((Fraction(3), True))
+        for y, sf in cases:
+            orc = FamilyOracle(y)
             for x in (500, 2000):
-                fast = enumerate_members(FamilySpec("dense", y, i=2), x)
-                orc = FamilyOracle(y)
-                slow = [n for n in range(1, x + 1) if orc.dense(n, 2)]
-                assert fast == slow
+                fast = enumerate_members(FamilySpec("dense", y, i=2, squarefree=sf), x)
+                slow = [
+                    n for n in range(1, x + 1)
+                    if orc.dense(n, 2) and (not sf or factorize(n).is_squarefree)
+                ]
+                assert fast == slow, (y, sf, x)
+
+    @pytest.mark.parametrize("y", [Fraction(5, 2), Fraction(10)])
+    def test_dense2_count_matches_filtered_superset(self, y):
+        # the theta_2 chain count against the definition applied to the
+        # ThetaUpper(2) superset
+        x = 100_000
+        orc = FamilyOracle(y)
+        superset = enumerate_members(FamilySpec("thetaupper", y, i=2), x)
+        filtered = sum(1 for n in superset if orc.dense(n, 2))
+        assert count_members(FamilySpec("dense", y, i=2), x) == filtered
+
+    @given(
+        st.fractions(min_value=1, max_value=20, max_denominator=12).filter(lambda y: y > 1),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_dense2_count_matches_oracle(self, y, x):
+        orc = FamilyOracle(y)
+        expect = sum(1 for n in range(1, x + 1) if orc.dense(n, 2))
+        assert count_members(FamilySpec("dense", y, i=2), x) == expect
+
+    def test_node_budget(self):
+        spec = FamilySpec("bpower", Fraction(5, 2), a=Fraction(1, 2))
+        count, _ = _iter_tree(spec, 10_000, collect=False)
+        # the budget bounds the members above 1
+        assert _iter_tree(spec, 10_000, collect=False, node_budget=count - 1)[0] == count
+        with pytest.raises(ResourceLimitError):
+            _iter_tree(spec, 10_000, collect=False, node_budget=count - 2)
+        with pytest.raises(ResourceLimitError):
+            _iter_tree(FamilySpec("dense", Y2, i=2), 10_000, collect=True, node_budget=5)
 
     def test_squarefree_is_filtered_plain(self):
         spec = FamilySpec("bpower", Fraction(3), a=Fraction(1, 2))
@@ -180,12 +216,26 @@ class TestEnumerationConsistency:
         assert enumerate_members(sf, 4000) == flt
 
     def test_count_matches_enumerate(self):
-        for spec in (
+        specs = [
             FamilySpec("bstar", Y2, a=Fraction(1, 2)),
             FamilySpec("thetalower", Fraction(3), i=2),
             FamilySpec("strongdense", Y2, i=3),
-        ):
-            assert count_members(spec, 3000) == len(enumerate_members(spec, 3000))
+        ]
+        # every chain kind, and Dense(2), at a non-integer y
+        y = Fraction(7, 2)
+        for sf in (False, True):
+            specs += [
+                FamilySpec("smooth", y, squarefree=sf),
+                FamilySpec("thetalower", y, i=2, squarefree=sf),
+                FamilySpec("thetaupper", y, i=3, squarefree=sf),
+                FamilySpec("bpower", y, a=Fraction(2, 3), squarefree=sf),
+                FamilySpec("bstar", y, a=Fraction(3, 2), squarefree=sf),
+                FamilySpec("dense", y, i=2, squarefree=sf),
+            ]
+        for spec in specs:
+            members = enumerate_members(spec, 3000)
+            assert count_members(spec, 3000) == len(members), spec
+            assert members == [n for n in range(1, 3001) if is_member(n, spec)], spec
 
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=60, deadline=None)

@@ -76,6 +76,13 @@ class TestFactorize:
             prod *= p**e
         assert prod == n
 
+    def test_trial_division_budget(self):
+        # the documented range (n <= ~1e12) factors; a prime near 1e18 does not
+        assert factorize(999_999_999_989).factors == ((999_999_999_989, 1),)
+        assert factorize(1_048_573 * 1_048_583).factors == ((1_048_573, 1), (1_048_583, 1))
+        with pytest.raises(ResourceLimitError):
+            factorize(10**18 + 3)
+
     def test_invalid_tuple_rejected(self):
         with pytest.raises(DomainError):
             FactoredInteger(12, ((3, 1), (2, 2)))
