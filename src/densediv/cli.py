@@ -180,18 +180,7 @@ def rho_table(a_, u_max, step, out):
     """Tabulate rho_a and export CSV (u, rho, model, ratio)."""
     table_ = _guard(rho.build_rho_table, a_, u_max=u_max, step=step)
     cert = gzero.find_lambda(a_) if a_ > 0 else None
-    if out == "-":
-        import os
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("r+", suffix=".csv", delete=False) as fh:
-            path = fh.name
-        table_.export_csv(path, cert)
-        with open(path) as fh:
-            click.echo(fh.read(), nl=False)
-        os.unlink(path)
-    else:
-        table_.export_csv(out, cert)
+    table_.export_csv(sys.stdout if out == "-" else out, cert)
 
 
 @main.command("question-scan")

@@ -83,7 +83,7 @@ class CountReport:
 
     @property
     def ratio(self) -> float | None:
-        return None if not self.model else self.count / self.model
+        return self.count / self.model if self.model is not None and self.model > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,11 @@ def count_members(spec: FamilySpec, x: int) -> int:
 
 
 def count_family(spec: FamilySpec, x: int, with_model: bool = True) -> CountReport:
-    """CountReport with u = log x / log y and model x*rho_a(u) when available."""
+    """CountReport with u = log x / log y and model x*rho_a(u) when available.
+
+    The model is withheld (None) where rho_a(u) is below 100 times the
+    table's absolute accuracy: there the table cannot resolve it.
+    """
     from ._constants import ZETA2
     from .rho import cached_rho_table
 
@@ -345,9 +349,11 @@ def count_family(spec: FamilySpec, x: int, with_model: bool = True) -> CountRepo
     if with_model and u <= 58.0:
         a = spec.exponent
         table = cached_rho_table(a, u_max=max(4.0, math.ceil(u) + 2.0))
-        model = x * float(table(u))
-        if spec.squarefree:
-            model /= ZETA2
+        rho_u = float(table(u))
+        if rho_u >= 100.0 * table.accuracy:
+            model = x * rho_u
+            if spec.squarefree:
+                model /= ZETA2
     return CountReport(spec=spec, x=x, count=c, u=u, model=model)
 
 

@@ -468,19 +468,26 @@ def _g_real(a: Fraction, x: float, dps: int = 40) -> float:
     return v.real
 
 
-@lru_cache(maxsize=None)
 def find_lambda(a: Fraction | int, dps: int | None = None) -> ZeroCertificate:
     """Locate lambda_a: sign scan of the exact polynomial values g_a(-n) a e^gamma,
     bisection inside the bracket, secant polish, residual check.
+
+    Cached per (Fraction(a), dps), so find_lambda(1) and find_lambda(Fraction(1))
+    share one entry.
     """
-    a = Fraction(a)
+    return _find_lambda(Fraction(a), dps)
+
+
+@lru_cache(maxsize=None)
+def _find_lambda(a: Fraction, dps: int | None) -> ZeroCertificate:
     if a <= 0:
         raise DomainError("a must be > 0")
     if dps is None:
         dps = max(40, int(20 + 1.4 / float(a)))
     n_cap = int(math.ceil((2.0 / float(a)) * (math.log(1.0 / float(a)) + 2.0))) + 10
     prev = g_eval_neg_int(a, 0)
-    assert prev > 0
+    if prev <= 0:
+        raise SearchFailureError(f"g_a(0) a e^gamma = {prev} is not positive for a={a}")
     n = 0
     cur = prev
     while True:
@@ -542,6 +549,10 @@ def find_lambda(a: Fraction | int, dps: int | None = None) -> ZeroCertificate:
         bracket_signs=(prev, cur), residual=residual,
     )
     return _with_residue(cert, dps)
+
+
+find_lambda.cache_clear = _find_lambda.cache_clear
+find_lambda.cache_info = _find_lambda.cache_info
 
 
 def _with_residue(cert: ZeroCertificate, dps: int) -> ZeroCertificate:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,9 @@ from .specfun import buchstab_omega
 
 DEFAULT_STEP = Fraction(1, 128)
 DEFAULT_U_MAX = 60
+# Simpson nodes per numpy pass of build_rho_table: bounds the pass's
+# temporaries to a few hundred kB whatever the block size
+_PASS_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -54,17 +58,21 @@ class RhoTable:
             return float(out)
         return out
 
-    def export_csv(self, path, cert=None) -> None:
-        """Write (u, rho, model, ratio) rows; model/ratio need a certificate."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "rho", "model", "ratio"])
-            for u, r in zip(self.us, self.values):
-                if cert is not None:
-                    model = rho_asymptotic(self.a, float(u), cert)
-                    w.writerow([f"{u:.8g}", f"{r:.12g}", f"{model:.12g}", f"{r / model:.8g}"])
-                else:
-                    w.writerow([f"{u:.8g}", f"{r:.12g}", "", ""])
+    def export_csv(self, dest, cert=None) -> None:
+        """Write (u, rho, model, ratio) rows to a path or an open text stream;
+        model/ratio need a certificate."""
+        if isinstance(dest, (str, os.PathLike)):
+            with open(dest, "w", newline="") as fh:
+                self.export_csv(fh, cert)
+            return
+        w = csv.writer(dest, lineterminator="\n")
+        w.writerow(["u", "rho", "model", "ratio"])
+        for u, r in zip(self.us, self.values):
+            if cert is not None:
+                model = rho_asymptotic(self.a, float(u), cert)
+                w.writerow([f"{u:.8g}", f"{r:.12g}", f"{model:.12g}", f"{r / model:.8g}"])
+            else:
+                w.writerow([f"{u:.8g}", f"{r:.12g}", "", ""])
 
 
 def _interp_cubic(us: np.ndarray, vals: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
@@ -93,6 +101,11 @@ def build_rho_table(
     where the integrand loses smoothness: v = 1 (kink of rho_a) and the
     points where omega's argument crosses an integer.  Estimated absolute
     error is ~1e-8 per point for u <= 50 at the default step.
+
+    Row u reads rho_a only at v <= (u-1)/(1+a), through a 4-point stencil
+    reaching at most three steps past v, so floor(1/h) - 3 consecutive rows
+    depend on earlier rows alone: each such block is evaluated in a few
+    numpy passes of whole rows, about _PASS_NODES Simpson nodes per pass.
     """
     a = Fraction(a).limit_denominator(10**12) if isinstance(a, float) else Fraction(a)
     if a < 0:
@@ -108,44 +121,75 @@ def build_rho_table(
     us = h * np.arange(n + 1)
     vals = np.ones(n + 1)
 
-    for jj in range(n + 1):
-        u = us[jj]
-        if u <= 1.0 + 1e-15:
-            continue
-        V = (u - 1.0) / (1.0 + af)
-        bps = {0.0, V}
-        if 1.0 < V:
-            bps.add(1.0)
-        m = 2
-        while m < u:
-            vm = (u - m) / (1.0 + af * m)
-            if 0.0 < vm < V:
-                bps.add(vm)
-            m += 1
-        pts = sorted(bps)
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            if hi - lo < 1e-14:
-                continue
-            nsub = max(4, int(math.ceil((hi - lo) / h)))
-            if nsub % 2:
-                nsub += 1
-            vnodes = np.linspace(lo, hi, nsub + 1)
-            arg = np.maximum((u - vnodes) / (1.0 + af * vnodes), 1.0)
-            rv = np.ones(nsub + 1)
-            inner = vnodes > 1.0
-            if np.any(inner):
-                rv[inner] = _interp_cubic(us, vals, h, vnodes[inner])
-            f = rv * buchstab_omega(arg) / (1.0 + af * vnodes)
-            wts = np.ones(nsub + 1)
-            wts[1:-1:2] = 4.0
-            wts[2:-1:2] = 2.0
-            total += (hi - lo) / nsub / 3.0 * float(wts @ f)
-        vals[jj] = 1.0 - total
+    block = math.floor(1 / step) - 3
+    first = int(np.searchsorted(us, 1.0 + 1e-15, side="right"))
+    for r0 in range(first, n + 1, block):
+        u = us[r0 : r0 + block]
+        row, lo, hi, nsub = _panels(u, af, h)
+        # cut the block into passes of whole rows at every _PASS_NODES nodes
+        row_nodes = np.bincount(row, weights=nsub + 1, minlength=len(u))
+        before = np.cumsum(row_nodes) - row_nodes
+        cuts = np.flatnonzero(np.diff(before // _PASS_NODES)) + 1
+        bounds = [0, *cuts.tolist(), len(u)]
+        for ra, rb in zip(bounds[:-1], bounds[1:]):
+            pa, pb = np.searchsorted(row, [ra, rb])
+            vals[r0 + ra : r0 + rb] = 1.0 - _row_integrals(
+                u[ra:rb], row[pa:pb] - ra, lo[pa:pb], hi[pa:pb], nsub[pa:pb], us, vals, h, af
+            )
 
     us.setflags(write=False)
     vals.setflags(write=False)
     return RhoTable(a=a, step=step, us=us, values=vals, accuracy=1e-8)
+
+
+def _panels(u: np.ndarray, af: float, h: float):
+    """Simpson panels of the rows u (all > 1), as (row, lo, hi, nsub) per panel,
+    rows in order and each row's panels in increasing v.
+
+    Row u integrates over [0, V], V = (u-1)/(1+a), split at v = 1 and at the
+    v where omega's argument (u-v)/(1+a v) crosses an integer m < u; each
+    panel gets an even nsub >= 4 with a step of at most h.
+    """
+    V = (u - 1.0) / (1.0 + af)
+    ms = np.arange(2.0, math.ceil(u[-1]))
+    vm = (u[:, None] - ms) / (1.0 + af * ms)
+    inside = (ms < u[:, None]) & (vm > 0.0) & (vm < V[:, None])
+    pts = np.column_stack([
+        np.zeros_like(u), V, np.where(V > 1.0, 1.0, np.nan), np.where(inside, vm, np.nan)
+    ])
+    pts.sort(axis=1)  # nan (no breakpoint) sorts last; equal points give empty panels
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    keep = hi - lo >= 1e-14
+    row = np.nonzero(keep)[0]
+    lo, hi = lo[keep], hi[keep]
+    nsub = np.maximum(4, np.ceil((hi - lo) / h).astype(np.int64))
+    nsub += nsub % 2
+    return row, lo, hi, nsub
+
+
+def _row_integrals(u, row, lo, hi, nsub, us, vals, h, af) -> np.ndarray:
+    """Composite-Simpson integral of each row u over its panels, in one pass.
+
+    Node k of a panel is lo + k*(hi-lo)/nsub with the last set to hi (as
+    np.linspace places them); the weights are 1, 4, 2, ..., 4, 1.
+    """
+    counts = nsub + 1
+    end = np.cumsum(counts)
+    start = end - counts
+    k = np.arange(end[-1]) - np.repeat(start, counts)
+    v = k * np.repeat((hi - lo) / nsub, counts) + np.repeat(lo, counts)
+    v[end - 1] = hi
+    denom = 1.0 + af * v
+    arg = np.maximum((np.repeat(u[row], counts) - v) / denom, 1.0)
+    rv = np.ones_like(v)
+    inner = v > 1.0
+    rv[inner] = _interp_cubic(us, vals, h, v[inner])
+    f = rv * buchstab_omega(arg) / denom
+    w = np.where(k % 2 == 1, 4.0, 2.0)
+    w[start] = 1.0
+    w[end - 1] = 1.0
+    panel = (hi - lo) / nsub / 3.0 * np.add.reduceat(w * f, start)
+    return np.bincount(row, weights=panel, minlength=len(u))
 
 
 @lru_cache(maxsize=64)

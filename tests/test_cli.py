@@ -67,6 +67,14 @@ class TestCount:
         assert doc["schema"] == 1
         assert doc["rows"][0][1] == 13
 
+    def test_unresolved_model_withheld(self, runner):
+        # rho_0(12.58) is below what the table resolves: no model, no ratio
+        r = runner.invoke(main, ["count", "--family", "smooth", "--y", "3",
+                                 "--x", "1000000", "--format", "json"])
+        assert r.exit_code == 0
+        doc = json.loads(r.output)
+        assert doc["rows"] == [[1000000, 142, "12.575420", "", ""]]
+
 
 class TestTable:
     def test_lambda_rows(self, runner):
@@ -95,6 +103,19 @@ class TestCertificate:
         doc = json.loads(r.output)
         assert doc["schema"] == 1
         assert doc["bracket"] == [2, 3]
+
+
+class TestRhoTable:
+    def test_stdout_equals_file(self, runner, tmp_path):
+        r = runner.invoke(main, ["rho-table", "--a", "1", "--u-max", "2"])
+        assert r.exit_code == 0
+        path = tmp_path / "rho.csv"
+        r2 = runner.invoke(main, ["rho-table", "--a", "1", "--u-max", "2", "--out", str(path)])
+        assert r2.exit_code == 0
+        assert r2.output == ""
+        assert r.output.encode() == path.read_bytes()
+        assert r.output.startswith("u,rho,model,ratio\n0,1,")
+        assert len(r.output.splitlines()) == 2 * 128 + 2
 
 
 class TestRatioScan:

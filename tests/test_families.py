@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from densediv.errors import DomainError, ResourceLimitError
 from densediv.families import (
+    CountReport,
     FamilyOracle,
     _iter_tree,
     FamilySpec,
@@ -264,6 +265,19 @@ class TestCountReport:
         rep = count_family(FamilySpec("dense", Y2, i=2), 1000)
         assert rep.count <= 1000
         assert rep.u == pytest.approx(math.log(1000) / math.log(2))
+
+    def test_model_withheld_below_table_resolution(self):
+        # rho_0(12.58) ~ 1e-14 is far below the table's 1e-8 accuracy
+        rep = count_family(FamilySpec("smooth", Fraction(3)), 10**6)
+        assert rep.count == 142
+        assert rep.model is None
+        assert rep.ratio is None
+
+    def test_ratio_needs_positive_model(self):
+        spec = FamilySpec("smooth", Fraction(3))
+        assert CountReport(spec=spec, x=10, count=5, u=2.1, model=-1e-4).ratio is None
+        assert CountReport(spec=spec, x=10, count=5, u=2.1, model=0.0).ratio is None
+        assert CountReport(spec=spec, x=10, count=5, u=2.1, model=2.5).ratio == 2.0
 
 
 class TestSchinzelSzekeres:

@@ -153,6 +153,21 @@ class TestFindLambda:
         with pytest.raises((SearchFailureError, DomainError)):
             find_lambda(Fraction(0))
 
+    def test_int_and_fraction_share_cache_entry(self):
+        cert = find_lambda(Fraction(1))
+        misses = find_lambda.cache_info().misses
+        assert find_lambda(1) is cert
+        assert find_lambda(1, None) is cert
+        assert find_lambda.cache_info().misses == misses
+
+    def test_nonpositive_start_raises(self, monkeypatch):
+        # the sign scan needs g_a(0) a e^gamma > 0; an explicit error, not an assert
+        from densediv import gzero
+
+        monkeypatch.setattr(gzero, "g_eval_neg_int", lambda a, n: Fraction(0))
+        with pytest.raises(SearchFailureError):
+            find_lambda(Fraction(7, 3))
+
 
 class TestResidue:
     def test_c1_closed_form(self):

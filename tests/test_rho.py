@@ -6,8 +6,10 @@ import pytest
 
 from densediv._constants import EULER_GAMMA
 from densediv.errors import DomainError
+from densediv.specfun import buchstab_omega
 from densediv.gzero import find_lambda
 from densediv.rho import (
+    _interp_cubic,
     build_rho_table,
     cached_rho_table,
     rho_asymptotic,
@@ -15,6 +17,49 @@ from densediv.rho import (
 )
 
 C1 = 1.0 / (1.0 - math.exp(-EULER_GAMMA))
+
+
+def simpson_rows(a: Fraction, u_max: float, step: Fraction) -> np.ndarray:
+    """rho_a on the grid, one row and one panel at a time: the same panels,
+    nodes and weights as build_rho_table, summed in a different order."""
+    af, h = float(a), float(step)
+    n = int(math.ceil(u_max / h - 1e-9))
+    us = h * np.arange(n + 1)
+    vals = np.ones(n + 1)
+    for jj in range(n + 1):
+        u = us[jj]
+        if u <= 1.0 + 1e-15:
+            continue
+        V = (u - 1.0) / (1.0 + af)
+        bps = {0.0, V}
+        if 1.0 < V:
+            bps.add(1.0)
+        m = 2
+        while m < u:
+            vm = (u - m) / (1.0 + af * m)
+            if 0.0 < vm < V:
+                bps.add(vm)
+            m += 1
+        pts = sorted(bps)
+        total = 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            if hi - lo < 1e-14:
+                continue
+            nsub = max(4, int(math.ceil((hi - lo) / h)))
+            nsub += nsub % 2
+            vnodes = np.linspace(lo, hi, nsub + 1)
+            arg = np.maximum((u - vnodes) / (1.0 + af * vnodes), 1.0)
+            rv = np.ones(nsub + 1)
+            inner = vnodes > 1.0
+            if np.any(inner):
+                rv[inner] = _interp_cubic(us, vals, h, vnodes[inner])
+            f = rv * buchstab_omega(arg) / (1.0 + af * vnodes)
+            wts = np.ones(nsub + 1)
+            wts[1:-1:2] = 4.0
+            wts[2:-1:2] = 2.0
+            total += (hi - lo) / nsub / 3.0 * float(wts @ f)
+        vals[jj] = 1.0 - total
+    return vals
 
 
 class TestBasics:
@@ -93,6 +138,26 @@ class TestInvariants:
             sel = (t.values >= 1e-5) & (t.us >= t.us[cross])
             assert np.all(prod[sel] >= cert.C / 2.0), f"a=1/{i}"
             assert np.all(prod[sel] <= 2.0 * cert.C), f"a=1/{i}"
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    def test_prefix_of_longer_table(self, a):
+        # a row's value must not depend on how far the table runs: blocks
+        # start at u = 1 and passes cut at whole rows for every u_max
+        short = build_rho_table(a, u_max=6.0)
+        long = cached_rho_table(a, u_max=30.0)
+        assert np.array_equal(short.values, long.values[: len(short.values)])
+
+    @pytest.mark.parametrize(
+        "a, step",
+        [(Fraction(0), Fraction(1, 128)), (Fraction(1, 2), Fraction(1, 128)),
+         (Fraction(1, 2), Fraction(1, 256)), (Fraction(0), Fraction(1, 200))],
+    )
+    def test_matches_row_by_row_simpson(self, a, step):
+        # a block whose rows read a row of the same block sees its initial 1.0
+        t = build_rho_table(a, u_max=8.0, step=step)
+        assert np.max(np.abs(t.values - simpson_rows(a, 8.0, step))) < 1e-13
 
 
 class TestAsymptoticModel:
