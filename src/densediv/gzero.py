@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -94,6 +95,18 @@ def g_eval_neg_int(a: Fraction | int, n: int) -> Fraction:
     return s
 
 
+def _at_nonpositive_integer(s: complex) -> bool:
+    return s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real)
+
+
+def _g_exact_or_series(a: Fraction, s: complex, dps: int = 40) -> complex:
+    """g_a(s) by the series route, or from the exact rational value where s
+    is a non-positive integer (a removable point of the series normalization)."""
+    if _at_nonpositive_integer(s):
+        return complex(float(g_eval_neg_int(a, int(-s.real))) * EXP_NEG_GAMMA / float(a))
+    return g_eval_series(a, s, dps=dps)[0]
+
+
 # ---------------------------------------------------------------------------
 # series route (adaptive precision)
 # ---------------------------------------------------------------------------
@@ -137,6 +150,35 @@ def _mp_gammaup_cf(A, z, tol):
     return mp.exp(A * mp.log(z) - z) / f
 
 
+def _mp_gammalow_down(s, z, K: int, tol) -> list:
+    """[gamma(s+k, z) for k = 0..K], the lower incomplete gamma: one direct
+    evaluation at the top index A = s+K, then the downward recurrence
+    gamma(A, z) = (gamma(A+1, z) + z^A e^-z) / A (DLMF 8.8.1).
+
+    Downward is the stable direction: an error in gamma(A+1, z) reaches
+    gamma(A, z) divided by A, i.e. it is carried like the homogeneous solution
+    Gamma(A), and for real A > 0 the ratio gamma(A, z)/Gamma(A) grows as A
+    decreases, so the relative error shrinks (upward, it would be multiplied
+    by A at each step).  With K >= 1 - Re s the top index has Re A >= 1 and
+    takes the series; the continued fraction is left for a K capped at _BMAX
+    below that.
+    """
+    A = s + K
+    if mp.re(A) > 0.5:
+        gl = _mp_gammalow_series(A, z, tol)
+    else:
+        gl = mp.gamma(A) - _mp_gammaup_cf(A, z, tol)
+    out = [gl]
+    zpow = mp.exp(A * mp.log(z) - z)  # z^A e^-z
+    for k in range(K - 1, -1, -1):
+        A = s + k
+        zpow /= z
+        gl = (gl + zpow) / A
+        out.append(gl)
+    out.reverse()
+    return out
+
+
 def _h2_cutoff(a: Fraction, dps: int, sigma: float) -> float:
     """U with u^sigma e^{-(u-1)/a} below 10^-(dps+15) of its peak for u >= U."""
     zf = float(a.denominator) / float(a.numerator)
@@ -149,39 +191,65 @@ def _h2_cutoff(a: Fraction, dps: int, sigma: float) -> float:
     return max(3.0, U)
 
 
+@lru_cache(maxsize=8)
+def _gl24(prec: int) -> tuple:
+    """The 24-point Gauss-Legendre (node, weight) pairs on [-1, 1]."""
+    return tuple(GaussLegendre(mp.mp).calc_nodes(4, prec))
+
+
+def _gl_panel(lo, hi) -> list:
+    """(u, half-width * weight) Gauss-Legendre pairs on [lo, hi]."""
+    mid = (lo + hi) / 2
+    half = (hi - lo) / 2
+    return [(mid + half * x, half * w) for x, w in _gl24(mp.mp.prec)]
+
+
+def _log_e1(nodes) -> tuple[tuple, tuple]:
+    return tuple(mp.log(u) for u, _ in nodes), tuple(mp.e1(u) for u, _ in nodes)
+
+
+@lru_cache(maxsize=1024)
+def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple]:
+    """log u and E1(u) at the nodes of the unit panel [m, m+1], at dps + 8
+    digits.  They do not depend on a, so every a shares one evaluation."""
+    with mp.workdps(dps + 8):
+        return _log_e1(_gl_panel(mp.mpf(m), mp.mpf(m + 1)))
+
+
 class _H2Cache:
     """Gauss-Legendre panels for h_{2,a}(s) = int_1^inf u^s W(u) du with
-    W(u) = exp(-u/a + J(u)), keyed by (a, dps, covered range).  Nodes,
-    log-nodes and weighted W values are mpf."""
+    W(u) = exp(-u/a + J(u)), keyed by (a, dps, covered range), at most
+    ``maxsize`` keys (least recently used dropped first).  Log-nodes and
+    weighted W values are mpf; on the unit panels the log-nodes and J = E1
+    come from _e1_unit_panel, and only exp(-u/a) is computed per a."""
 
-    def __init__(self):
-        self._store = {}
+    def __init__(self, maxsize: int = 32):
+        self._store: OrderedDict = OrderedDict()
+        self.maxsize = maxsize
 
     def get(self, a: Fraction, dps: int, U_need: float):
         key = (a, dps)
         cached = self._store.get(key)
         if cached is not None and cached[0] >= U_need:
+            self._store.move_to_end(key)
             return cached[1]
         with mp.workdps(dps + 8):
             z = mp.mpf(a.denominator) / mp.mpf(a.numerator)
             U_full = max(U_need, 1.0 + (dps + 15) * math.log(10) / float(z), 3.0)
-            gl = GaussLegendre(mp.mp)
-            nodes01 = gl.calc_nodes(4, mp.mp.prec)  # 24 points on [-1, 1]
             panels = []
-            lo = mp.mpf(1)
-            one = mp.mpf(1)
-            while lo < U_full:
-                hi = min(lo + one, mp.mpf(U_full))
-                mid = (lo + hi) / 2
-                half = (hi - lo) / 2
-                lnxs, ws = [], []
-                for x, w in nodes01:
-                    u = mid + half * x
-                    lnxs.append(mp.log(u))
-                    ws.append(w * half * mp.exp(-u * z + mp.e1(u)))
+            m = 1
+            while m < U_full:
+                lo = mp.mpf(m)
+                hi = min(lo + 1, mp.mpf(U_full))
+                nodes = _gl_panel(lo, hi)
+                lnxs, e1s = _e1_unit_panel(dps, m) if hi == lo + 1 else _log_e1(nodes)
+                ws = [hw * mp.exp(-u * z + e1) for (u, hw), e1 in zip(nodes, e1s)]
                 panels.append((float(lo), float(hi), lnxs, ws))
-                lo = hi
+                m += 1
         self._store[key] = (U_full, panels)
+        self._store.move_to_end(key)
+        while len(self._store) > self.maxsize:
+            self._store.popitem(last=False)
         return panels
 
 
@@ -245,7 +313,7 @@ def g_eval_series(
     if a <= 0:
         raise DomainError("a must be > 0")
     sc = complex(s)
-    if sc.imag == 0.0 and sc.real <= 0.0 and sc.real == round(sc.real):
+    if _at_nonpositive_integer(sc):
         raise DomainError("use g_eval_neg_int at non-positive integers")
     if K is None:
         K = _default_K(a, sc)
@@ -265,12 +333,7 @@ def g_eval_series(
             tot = mp.mpf(0)
             maxterm = mp.mpf(0)
             ak = mp.mpf(1)
-            for k in range(K + 1):
-                A = ss + k
-                if mp.re(A) > 0.5:
-                    gl = _mp_gammalow_series(A, z, tol)
-                else:
-                    gl = mp.gamma(A) - _mp_gammaup_cf(A, z, tol)
+            for k, gl in enumerate(_mp_gammalow_down(ss, z, K, tol)):
                 t = ak * mp.mpf(b[k].numerator) / mp.mpf(b[k].denominator) * gl
                 tot += t
                 if abs(t) > maxterm:
@@ -292,30 +355,42 @@ def g_eval_series(
 # ---------------------------------------------------------------------------
 
 _GLX24, _GLW24 = np.polynomial.legendre.leggauss(24)
-_H2F_CACHE: dict[Fraction, tuple] = {}
 
 
+@lru_cache(maxsize=32)
 def _h2_float_nodes(a: Fraction):
-    if a not in _H2F_CACHE:
-        from scipy.special import exp1
+    from scipy.special import exp1
 
-        z = float(a.denominator) / float(a.numerator)
-        U = max(3.0, 1.0 + 42.0 * math.log(10.0) / z)
-        edges = np.arange(1.0, math.ceil(U) + 1.0)
-        lo, hi = edges[:-1], np.minimum(edges[1:], U)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = (mid[:, None] + half[:, None] * _GLX24[None, :]).ravel()
-        w = (half[:, None] * _GLW24[None, :]).ravel()
-        _H2F_CACHE[a] = (np.log(u), w * np.exp(-u * z + exp1(u)))
-    return _H2F_CACHE[a]
+    z = float(a.denominator) / float(a.numerator)
+    U = max(3.0, 1.0 + 42.0 * math.log(10.0) / z)
+    edges = np.arange(1.0, math.ceil(U) + 1.0)
+    lo, hi = edges[:-1], np.minimum(edges[1:], U)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    u = (mid[:, None] + half[:, None] * _GLX24[None, :]).ravel()
+    w = (half[:, None] * _GLW24[None, :]).ravel()
+    return np.log(u), w * np.exp(-u * z + exp1(u))
+
+
+@lru_cache(maxsize=1)
+def _b_float() -> tuple[float, ...]:
+    """b_0..b_BMAX as floats, converted once per process."""
+    return tuple(float(x) for x in b_coefficients(_BMAX).coefficients)
 
 
 def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
-    """Series route in complex128; returns (value, conservative noise estimate).
+    """Series route in complex128; returns (value, noise estimate).
 
-    Matches the adaptive-precision route to ~1e-13 absolute over the real
-    segment [-52, 2] for a >= 1/20; the noise estimate tracks the observed
-    cancellation so callers know when to re-evaluate in high precision.
+    The noise is 1e-14 times the scale of the two summands of g_a (the largest
+    h_1 term and |h_2|, each over |Gamma(s)|), against which the value
+    cancels.  Measured against the adaptive-precision route on the grid
+    Re s in [-64, 2], Im s in {0, 0.4, 3}, a in {1, 1/2, 1/10, 1/20, 1/25}, it
+    bounds the error only for |s| <= 14: the rounding of u^s, of the
+    incomplete gammas and of 1/Gamma(s) grows like |s| eps, and further left
+    the error exceeds the noise by up to 6.5x.  The callers re-evaluate in
+    high precision below 50x (find_lambda) and 1e4x (residue_C) the noise,
+    which covers that factor.  Where the noise is comparable to the value the
+    float value means nothing: at a = 1, s = -31.863 it is 5e18 against a
+    true -3e16.
     """
     import scipy.special as ssp
 
@@ -326,8 +401,7 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     z = 1.0 / af
     la = math.log(af)
     K = _default_K(a, sc, target=1e-17)
-    b = b_coefficients(_BMAX)
-    bf = [float(x) for x in b.coefficients]
+    bf = _b_float()
     tot = 0j
     maxterm = 0.0
     for k in range(K + 1):
@@ -420,11 +494,7 @@ def g_eval(a: Fraction | float, s: complex | float) -> complex:
     sc = complex(s)
     if abs(sc.imag) > 12.0:
         return g_eval_integral(a, sc)
-    if sc.imag == 0.0 and sc.real <= 0.0 and sc.real == round(sc.real):
-        af = Fraction(a)
-        return float(g_eval_neg_int(af, int(-sc.real))) * EXP_NEG_GAMMA / float(af)
-    v, _ = g_eval_series(Fraction(a) if not isinstance(a, Fraction) else a, sc)
-    return v
+    return _g_exact_or_series(Fraction(a), sc)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +548,7 @@ def find_lambda(a: Fraction | int, dps: int | None = None) -> ZeroCertificate:
     return _find_lambda(Fraction(a), dps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _find_lambda(a: Fraction, dps: int | None) -> ZeroCertificate:
     if a <= 0:
         raise DomainError("a must be > 0")
@@ -570,9 +640,7 @@ def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> flo
     a = Fraction(a)
 
     def gr(x: float) -> float:
-        if x == round(x) and x <= 0:
-            return float(g_eval_neg_int(a, int(-x))) * EXP_NEG_GAMMA / float(a)
-        return _g_real(a, x, dps)
+        return _g_exact_or_series(a, complex(x, 0.0), dps).real
 
     h = 1e-5
     d1 = (gr(-lam + h) - gr(-lam - h)) / (2 * h)
@@ -586,8 +654,8 @@ def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> flo
     for j in range(M):
         th = 2 * math.pi * j / M
         sj = complex(-lam + r * math.cos(th), r * math.sin(th))
-        if sj.imag == 0.0 and sj.real == round(sj.real) and sj.real <= 0:
-            gv = complex(gr(sj.real))
+        if _at_nonpositive_integer(sj):
+            gv = _g_exact_or_series(a, sj, dps)
         else:
             gv, noise = _g_series_float(a, sj)
             if abs(gv) < 1e4 * noise:
@@ -716,11 +784,7 @@ def dgda_identity_check(
     s = complex(s)
 
     def g_at(av: float, sv: complex) -> complex:
-        fr = Fraction(av).limit_denominator(10**12)
-        if sv.imag == 0.0 and sv.real <= 0 and sv.real == round(sv.real):
-            return float(g_eval_neg_int(fr, int(-sv.real))) * EXP_NEG_GAMMA / float(fr)
-        v, _ = g_eval_series(fr, sv)
-        return v
+        return _g_exact_or_series(Fraction(av).limit_denominator(10**12), sv)
 
     dg = (g_at(af + delta, s) - g_at(af - delta, s)) / (2 * delta)
     rhs = (s / af) * g_at(af, s + 1) - ((s + 1) / af) * g_at(af, s)

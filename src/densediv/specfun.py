@@ -217,18 +217,25 @@ def b_coefficients(K: int) -> RationalSeries:
 
     -I(-u) = sum_{k>=1} (-1)^{k+1} u^k/(k*k!), so with c_k that coefficient,
     b_n = (1/n) * sum_{k=1}^{n} k*c_k*b_{n-k} = (1/n) sum (-1)^{k+1} b_{n-k}/k!.
+    The recurrence runs on the integers B_n = (n!)^2 b_n:
+    B_n = sum_{k=1}^{n} (-1)^{k+1} c(n,k) B_{n-k} with
+    c(n,k) = C(n,k) (n-1)!/(n-k)!, so c(n,1) = n and
+    c(n,k+1) = c(n,k) (n-k)^2/(k+1).
     """
     if K < 0:
         raise DomainError("K must be >= 0")
-    fact = [1]
-    for k in range(1, K + 1):
-        fact.append(fact[-1] * k)
+    B = [1]
     b = [Fraction(1)]
+    sq_fact = 1  # (n!)^2
     for n in range(1, K + 1):
-        s = Fraction(0)
+        tot = 0
+        c = n
         for k in range(1, n + 1):
-            s += Fraction((-1) ** (k + 1), fact[k]) * b[n - k]
-        b.append(s / n)
+            tot += c * B[n - k] if k % 2 else -c * B[n - k]
+            c = c * (n - k) ** 2 // (k + 1)
+        B.append(tot)
+        sq_fact *= n * n
+        b.append(Fraction(tot, sq_fact))
     return RationalSeries(tuple(b))
 
 

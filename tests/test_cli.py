@@ -104,6 +104,71 @@ class TestCertificate:
         assert doc["schema"] == 1
         assert doc["bracket"] == [2, 3]
 
+    # stdout of `certificate --a`, captured before the downward incomplete-gamma
+    # recurrence replaced the per-term evaluation in g_eval_series
+    GOLDEN = {
+        "1": """\
+{
+  "schema": 1,
+  "a": "1",
+  "lambda": 1.0,
+  "C": 2.280291016514799,
+  "bracket": [
+    1,
+    1
+  ],
+  "bracket_signs": [
+    "1",
+    "0"
+  ],
+  "residual": 0.0,
+  "zero_free_rects": []
+}
+""",
+        "1/2": """\
+{
+  "schema": 1,
+  "a": "1/2",
+  "lambda": 2.462066732271646,
+  "C": 3.781527721804596,
+  "bracket": [
+    2,
+    3
+  ],
+  "bracket_signs": [
+    "1/8",
+    "-5/48"
+  ],
+  "residual": 1.8962139193448543e-18,
+  "zero_free_rects": []
+}
+""",
+        "1/7": """\
+{
+  "schema": 1,
+  "a": "1/7",
+  "lambda": 12.92039956331274,
+  "C": 22.000499158375547,
+  "bracket": [
+    12,
+    13
+  ],
+  "bracket_signs": [
+    "59407165994257/4316405413631850",
+    "-3922210300483/4364365473783315"
+  ],
+  "residual": 7.042712857383282e-18,
+  "zero_free_rects": []
+}
+""",
+    }
+
+    @pytest.mark.parametrize("a", sorted(GOLDEN))
+    def test_golden_stdout(self, runner, a):
+        r = runner.invoke(main, ["certificate", "--a", a])
+        assert r.exit_code == 0
+        assert r.output == self.GOLDEN[a]
+
 
 class TestRhoTable:
     def test_stdout_equals_file(self, runner, tmp_path):

@@ -2,11 +2,15 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from densediv._constants import EULER_GAMMA, EXP_NEG_GAMMA
 from densediv.errors import DomainError, SearchFailureError
+from densediv import gzero
 from densediv.gzero import (
     count_zeros_rect,
     dgda_identity_check,
@@ -41,6 +45,20 @@ class TestNegIntExact:
     def test_negative_n(self):
         with pytest.raises(DomainError):
             g_eval_neg_int(Fraction(1), -1)
+
+
+class TestNegIntHelper:
+    def test_exact_at_nonpositive_integers(self):
+        for a in (Fraction(1), Fraction(1, 2)):
+            for n in (0, 1, 4):
+                expected = float(g_eval_neg_int(a, n)) * EXP_NEG_GAMMA / float(a)
+                assert gzero._g_exact_or_series(a, complex(-n, 0.0)) == complex(expected)
+                assert g_eval(a, -n) == complex(expected)
+
+    def test_series_elsewhere(self):
+        a, s = Fraction(1, 2), complex(-1.5, 0.0)
+        assert gzero._g_exact_or_series(a, s) == g_eval_series(a, s)[0]
+        assert gzero._g_exact_or_series(a, complex(-1.0, 1e-3)) == g_eval_series(a, complex(-1.0, 1e-3))[0]
 
 
 class TestSeriesRoute:
@@ -94,6 +112,105 @@ class TestSeriesRoute:
         assert abs(vs - vi) < 1e-6
 
 
+def _per_k_gammalow(s, z, k, tol):
+    # the direct evaluation of one term: series for Re A > 0.5, else
+    # Gamma(A) minus the continued fraction for the upper gamma
+    A = s + k
+    if mp.re(A) > 0.5:
+        return gzero._mp_gammalow_series(A, z, tol)
+    return mp.gamma(A) - gzero._mp_gammaup_cf(A, z, tol)
+
+
+class TestDownwardRecurrence:
+    @pytest.mark.parametrize(
+        "a", [Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(2, 3), Fraction(3)]
+    )
+    def test_matches_per_term_evaluation(self, a):
+        # terms of the recurrence against their own direct evaluation at dps
+        # 40: the top index, the middle, the term next to the pole A ~ 0 and
+        # k = 0, the end of the longest downward run
+        for re in (-51.7, -37.3, -21.5, -9.8, -2.6, -0.5, 0.7, 2.0):
+            for im in (0.0, 0.4, 3.0, 11.0):
+                sc = complex(re, im)
+                K = gzero._default_K(a, sc)
+                with mp.workdps(40):
+                    ss = mp.mpc(sc) if im else mp.mpf(re)
+                    z = mp.mpf(a.denominator) / mp.mpf(a.numerator)
+                    tol = mp.mpf(10) ** -38
+                    down = gzero._mp_gammalow_down(ss, z, K, tol)
+                    assert len(down) == K + 1
+                    near_pole = max(0, math.ceil(-re))
+                    for k in {0, near_pole, K // 2, K}:
+                        ref = _per_k_gammalow(ss, z, k, tol)
+                        assert abs(down[k] - ref) <= 1e-32 * abs(ref), (a, sc, k)
+
+    def test_series_matches_per_term_sum(self):
+        # the whole h_1 + h_2 value: per-term loop against g_eval_series
+        a, sc = Fraction(1, 3), complex(-7.3, 2.0)
+        K = gzero._default_K(a, sc)
+        b = gzero.b_coefficients(gzero._BMAX)
+        with mp.workdps(40):
+            ss, z = mp.mpc(sc), mp.mpf(3)
+            tol = mp.mpf(10) ** -38
+            tot = mp.mpf(0)
+            for k in range(K + 1):
+                bk = mp.mpf(b[k].numerator) / mp.mpf(b[k].denominator)
+                tot += bk / z**k * _per_k_gammalow(ss, z, k, tol)
+            h2 = gzero._h2_eval(a, ss, 40)
+            ref = complex((mp.exp(-mp.euler) * z * tot + h2 * mp.power(z, ss + 1)) / mp.gamma(ss))
+        val, _ = g_eval_series(a, sc)
+        assert abs(val - ref) < 1e-15 * abs(ref)
+
+
+class TestH2Panels:
+    def test_shared_e1_nodes_equal_per_a_evaluation(self):
+        # weights from the shared unit-panel E1 values are bit-identical to
+        # evaluating E1 at each node for this a alone
+        a, dps = Fraction(1, 10), 40
+        panels = gzero._H2Cache().get(a, dps, 3.0)
+        with mp.workdps(dps + 8):
+            z = mp.mpf(10)
+            nodes01 = gzero.GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)
+            for lo, hi, lnxs, ws in panels:
+                lo_m, hi_m = mp.mpf(lo), mp.mpf(hi)
+                mid, half = (lo_m + hi_m) / 2, (hi_m - lo_m) / 2
+                for (x, w), lnx, wt in zip(nodes01, lnxs, ws):
+                    u = mid + half * x
+                    assert lnx == mp.log(u)
+                    assert wt == w * half * mp.exp(-u * z + mp.e1(u))
+        assert panels[-1][1] == 1.0 + 55 * math.log(10) / 10
+
+    def test_store_is_bounded(self):
+        cache = gzero._H2Cache(maxsize=2)
+        for i in (2, 3, 4):
+            cache.get(Fraction(1, i), 20, 3.0)
+        assert list(cache._store) == [(Fraction(1, 3), 20), (Fraction(1, 4), 20)]
+
+    def test_process_caches_are_bounded(self):
+        # each holds at least the ten a = 1/i of one find_lambda round
+        assert gzero._H2.maxsize >= 10
+        for f in (find_lambda, gzero._h2_float_nodes, gzero._e1_unit_panel):
+            assert 10 <= f.cache_info().maxsize < 10_000
+
+
+class TestFloatRouteNoise:
+    @pytest.mark.parametrize(
+        "a", [Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(1, 20), Fraction(1, 25)]
+    )
+    def test_noise_against_high_precision(self, a):
+        # the estimate bounds the error for |s| <= 14; on Re s in [-64, 2]
+        # it is exceeded by less than 8x, inside the callers' 50x margin
+        for re in np.arange(-63.863, 2.1, 6.0):
+            for im in (0.0, 0.4, 3.0):
+                s = complex(re, im)
+                v, noise = gzero._g_series_float(a, s)
+                ref, _ = g_eval_series(a, s)
+                err = abs(v - ref)
+                assert err <= 8.0 * noise, (a, s, err / noise)
+                if abs(s) <= 14.0:
+                    assert err <= noise, (a, s, err / noise)
+
+
 SAMPLE_20 = [
     1.0, 2.5, 0.25, 3.0 + 0.0j,
     complex(-0.5, 1.0), complex(-1.5, 2.0), complex(-2.5, 3.0), complex(-4.5, 0.5),
@@ -112,6 +229,21 @@ class TestMethodTriangle:
             # below the summed error bounds, and below the 1e-6 gate
             assert abs(vs - vi) < bound + 1e-6
             assert abs(vs - vi) < 1e-6
+
+    @given(
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]),
+        st.floats(min_value=-6.0, max_value=4.0),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_series_vs_integral_random_s(self, a, re, im):
+        # the series normalization is 0/0 at a non-positive integer
+        assume(not (im == 0.0 and re <= 0 and re == round(re)))
+        s = complex(re, im)
+        vs, bound = g_eval_series(a, s)
+        vi = g_eval_integral(a, s)
+        assert abs(vs - vi) < bound + 1e-6
+        assert abs(vs - vi) < 1e-6
 
 
 class TestFindLambda:

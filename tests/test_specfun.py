@@ -121,6 +121,20 @@ class TestBCoefficients:
         b = b_coefficients(K)
         assert list(b.coefficients) == oracle
 
+    def test_integer_recurrence_matches_fraction_recurrence(self):
+        # the Fraction form of the recurrence, b_n = (1/n) sum (-1)^{k+1} b_{n-k}/k!
+        K = 258
+        fact = [1]
+        for k in range(1, K + 1):
+            fact.append(fact[-1] * k)
+        ref = [Fraction(1)]
+        for n in range(1, K + 1):
+            s = Fraction(0)
+            for k in range(1, n + 1):
+                s += Fraction((-1) ** (k + 1), fact[k]) * ref[n - k]
+            ref.append(s / n)
+        assert b_coefficients(K).coefficients == tuple(ref)
+
     def test_cauchy_bound(self):
         b = b_coefficients(200)
         for k in range(201):
