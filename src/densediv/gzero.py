@@ -5,7 +5,9 @@ Three independent evaluation routes:
 * ``g_eval_series``  -- the incomplete-gamma series h_{1,a,K} plus the tail
   integral h_{2,a}, normalized by a^{s+1} Gamma(s); carries an explicit
   truncation bound 4 e^{-gamma} / (2^K a^{Re s} |Gamma(s)|).  Evaluated in
-  adaptive-precision arithmetic because the sum cancels heavily near zeros.
+  adaptive-precision arithmetic because the sum cancels heavily near zeros;
+  ``_g_series_float`` is its complex128 fast path.  Both take their lower
+  incomplete gammas from specfun's one routine (``_lower_gamma``).
 * ``g_eval_integral`` -- s + e^{-gamma}/(a (1+a)^s) + s * int_1^inf
   (omega(u) - e^{-gamma}) (1+a u)^{-s-1} du, in float arithmetic; the only
   route that stays well-scaled for large |Im s|.
@@ -27,6 +29,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+import scipy.special as ssp
 from mpmath.calculus.quadrature import GaussLegendre
 
 from ._constants import EULER_GAMMA, EXP_NEG_GAMMA
@@ -36,7 +39,7 @@ from .errors import (
     NumericalConsistencyError,
     SearchFailureError,
 )
-from .specfun import b_coefficients, buchstab_omega, buchstab_omega_prime
+from .specfun import _lower_gamma, b_coefficients, buchstab_omega, buchstab_omega_prime
 
 _BMAX = 258  # b_k available up to this index; series cap K <= _BMAX
 
@@ -112,44 +115,6 @@ def _g_exact_or_series(a: Fraction, s: complex, dps: int = 40) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _mp_gammalow_series(A, z, tol):
-    # lower gamma(A,z) via z^A e^-z sum z^n/(A...(A+n)); use for Re(A) > 0.5
-    term = 1 / A
-    tot = term
-    n = 0
-    while n < 100000:
-        n += 1
-        term *= z / (A + n)
-        tot += term
-        if abs(term) < tol * abs(tot):
-            break
-    return mp.exp(A * mp.log(z) - z) * tot
-
-
-def _mp_gammaup_cf(A, z, tol):
-    # Lentz continued fraction for the upper Gamma(A,z); use for Re(A) <= 0.5
-    tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
-    b = z + 1 - A
-    C = b if b != 0 else tiny
-    D = mp.mpf(0)
-    f = C
-    for i in range(1, 200000):
-        an = -i * (i - A)
-        b = z + 2 * i + 1 - A
-        D = b + an * D
-        if D == 0:
-            D = tiny
-        C = b + an / C
-        if C == 0:
-            C = tiny
-        D = 1 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1) < tol:
-            break
-    return mp.exp(A * mp.log(z) - z) / f
-
-
 def _mp_gammalow_down(s, z, K: int, tol) -> list:
     """[gamma(s+k, z) for k = 0..K], the lower incomplete gamma: one direct
     evaluation at the top index A = s+K, then the downward recurrence
@@ -161,13 +126,11 @@ def _mp_gammalow_down(s, z, K: int, tol) -> list:
     decreases, so the relative error shrinks (upward, it would be multiplied
     by A at each step).  With K >= 1 - Re s the top index has Re A >= 1 and
     takes the series; the continued fraction is left for a K capped at _BMAX
-    below that.
+    below that.  Both come from specfun's routine, in mpmath arithmetic.
     """
     A = s + K
-    if mp.re(A) > 0.5:
-        gl = _mp_gammalow_series(A, z, tol)
-    else:
-        gl = mp.gamma(A) - _mp_gammaup_cf(A, z, tol)
+    tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
+    gl = _lower_gamma(A, z, tol, tol, mp.exp, mp.log, mp.gamma, tiny)
     out = [gl]
     zpow = mp.exp(A * mp.log(z) - z)  # z^A e^-z
     for k in range(K - 1, -1, -1):
@@ -359,8 +322,6 @@ _GLX24, _GLW24 = np.polynomial.legendre.leggauss(24)
 
 @lru_cache(maxsize=32)
 def _h2_float_nodes(a: Fraction):
-    from scipy.special import exp1
-
     z = float(a.denominator) / float(a.numerator)
     U = max(3.0, 1.0 + 42.0 * math.log(10.0) / z)
     edges = np.arange(1.0, math.ceil(U) + 1.0)
@@ -368,7 +329,7 @@ def _h2_float_nodes(a: Fraction):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     u = (mid[:, None] + half[:, None] * _GLX24[None, :]).ravel()
     w = (half[:, None] * _GLW24[None, :]).ravel()
-    return np.log(u), w * np.exp(-u * z + exp1(u))
+    return np.log(u), w * np.exp(-u * z + ssp.exp1(u))
 
 
 @lru_cache(maxsize=1)
@@ -392,10 +353,6 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     float value means nothing: at a = 1, s = -31.863 it is 5e18 against a
     true -3e16.
     """
-    import scipy.special as ssp
-
-    from .specfun import _lower_series, _upper_cf
-
     sc = complex(s)
     af = float(a)
     z = 1.0 / af
@@ -405,12 +362,7 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     tot = 0j
     maxterm = 0.0
     for k in range(K + 1):
-        A = sc + k
-        if A.real > 0.5:
-            gl = _lower_series(A, z)
-        else:
-            gl = complex(ssp.gamma(A)) - _upper_cf(A, z)
-        t = cmath.exp(k * la) * bf[k] * gl
+        t = cmath.exp(k * la) * bf[k] * _lower_gamma(sc + k, z)
         tot += t
         at = abs(t)
         if at > maxterm:
@@ -722,8 +674,12 @@ def _winding_count(a, x0, x1, y0, y1, n0, min_mod) -> int:
 
     def refine(p0, p1, v0, v1, depth=0) -> float:
         d = cmath.phase(v1 / v0)
-        if abs(d) < 0.5 * math.pi or depth > 48:
+        if abs(d) < 0.5 * math.pi:
             return d
+        if depth > 48:
+            raise NumericalConsistencyError(
+                f"phase step {d} between {p0} and {p1} unresolved after {depth} bisections"
+            )
         pm = 0.5 * (p0 + p1)
         vm = g_eval_integral(a, pm)
         if abs(vm) < min_mod:

@@ -58,11 +58,6 @@ class FactoredInteger:
         return self.factors[-1][0] if self.factors else 1
 
     @property
-    def big_omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(e for _, e in self.factors)
-
-    @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 

@@ -1,9 +1,14 @@
 """Scalar special functions.
 
 Buchstab's omega (delay equation solver with dense output), the exponential
-integral J, the exact rational coefficients b_k of exp(-I(-u)), gamma /
-upper incomplete gamma for complex arguments, and the Airy-type oscillatory
+integral J, the exact rational coefficients b_k of exp(-I(-u)), gamma for
+complex arguments, the incomplete gammas, and the Airy-type oscillatory
 integral K(nu) with two independent evaluation paths.
+
+The incomplete gammas have one power series and one continued fraction,
+written once for any number type: upper_incomplete_gamma and the float
+series route of g_a run them on complex128, the adaptive-precision route on
+mpmath numbers.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ def _omega_23(u: float) -> float:
     return (1.0 + math.log(u - 1.0)) / u
 
 
+def _hermite(s, h, y0, d0, y1, d1):
+    """Cubic Hermite interpolant at fraction s of a step h that runs from value
+    y0, derivative d0 to value y1, derivative d1 (scalars or arrays)."""
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
+
+
 @lru_cache(maxsize=4)
 def build_omega_table(u_max: float = _OMEGA_UMAX, step: float = OMEGA_STEP) -> OmegaTable:
     n = int(round((u_max - 3.0) / step))
@@ -66,12 +81,7 @@ def build_omega_table(u_max: float = _OMEGA_UMAX, step: float = OMEGA_STEP) -> O
         if t < 3.0:
             return _omega_23(t)
         j = min(int((t - 3.0) / step), n - 1)
-        s = (t - us[j]) / step
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * w[j] + step * h10 * wd[j] + h01 * w[j + 1] + step * h11 * wd[j + 1]
+        return _hermite((t - us[j]) / step, step, w[j], wd[j], w[j + 1], wd[j + 1])
 
     def f(u: float, val: float) -> float:
         return (hist(u - 1.0) - val) / u
@@ -114,17 +124,8 @@ def buchstab_omega(u) -> float | np.ndarray:
     if t3.size:
         h = tab.step
         j = np.minimum(((t3 - 3.0) / h).astype(np.int64), len(tab.us) - 2)
-        s = (t3 - tab.us[j]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out[m3] = (
-            h00 * tab.values[j]
-            + h * h10 * tab.derivs[j]
-            + h01 * tab.values[j + 1]
-            + h * h11 * tab.derivs[j + 1]
-        )
+        w, wd = tab.values, tab.derivs
+        out[m3] = _hermite((t3 - tab.us[j]) / h, h, w[j], wd[j], w[j + 1], wd[j + 1])
     out[m4] = EXP_NEG_GAMMA
     if np.isscalar(u) or arr.ndim == 0:
         return float(out)
@@ -252,40 +253,53 @@ def gamma_complex(s: complex) -> complex:
     return complex(sc.gamma(s))
 
 
-def _lower_series(s: complex, z: float, tol: float = 1e-17, maxit: int = 100000) -> complex:
-    # gamma_low(s,z) = z^s e^-z sum_{n>=0} z^n / (s(s+1)...(s+n)); Re(s) > 0
-    term = 1.0 / s
+def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log, maxit=100000):
+    # gamma_low(A,z) = z^A e^-z sum_{n>=0} z^n / (A(A+1)...(A+n)); Re(A) > 0
+    term = 1 / A
     total = term
     for n in range(1, maxit):
-        term *= z / (s + n)
+        term *= z / (A + n)
         total += term
         if abs(term) < tol * abs(total):
             break
-    return cmath.exp(s * math.log(z) - z) * total
+    return exp(A * log(z) - z) * total
 
 
-def _upper_cf(s: complex, z: float, tol: float = 1e-16, maxit: int = 200000) -> complex:
-    # modified Lentz for Gamma(s,z) = z^s e^-z / (z+1-s - 1(1-s)/(z+3-s - ...))
-    tiny = 1e-300
-    b = z + 1.0 - s
-    C = b if abs(b) > tiny else tiny
-    D = 0.0
+def _upper_cf(A, z, tol=1e-16, exp=cmath.exp, log=math.log, tiny=1e-300, maxit=200000):
+    # modified Lentz for Gamma(A,z) = z^A e^-z / (z+1-A - 1(1-A)/(z+3-A - ...))
+    b = z + 1 - A
+    C = b if abs(b) >= tiny else tiny
+    D = 0
     f = C
     for i in range(1, maxit):
-        an = -i * (i - s)
-        b = z + 2 * i + 1.0 - s
+        an = -i * (i - A)
+        b = z + 2 * i + 1 - A
         D = b + an * D
         if abs(D) < tiny:
             D = tiny
         C = b + an / C
         if abs(C) < tiny:
             C = tiny
-        D = 1.0 / D
+        D = 1 / D
         delta = C * D
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1) < tol:
             break
-    return cmath.exp(s * math.log(z) - z) / f
+    return exp(A * log(z) - z) / f
+
+
+def _lower_gamma(
+    A, z, tol=1e-17, cf_tol=1e-16, exp=cmath.exp, log=math.log, gamma=gamma_complex, tiny=1e-300
+):
+    """Lower incomplete gamma(A, z), z > 0: the series for Re A > 0.5, else
+    Gamma(A) minus the continued fraction for the upper gamma.
+
+    The defaults are the complex128 route.  The adaptive-precision route
+    passes mpc/mpf numbers with mpmath's exp, log and gamma, one tolerance
+    for both branches and a Lentz floor ``tiny`` of 10^(-3 dps)."""
+    if A.real > 0.5:
+        return _lower_series(A, z, tol, exp, log)
+    return gamma(A) - _upper_cf(A, z, cf_tol, exp, log, tiny)
 
 
 def upper_incomplete_gamma(s: complex, z: float) -> complex:
@@ -305,9 +319,8 @@ def upper_incomplete_gamma(s: complex, z: float) -> complex:
         return gamma_complex(s) - _lower_series(s, z)
     # z < Re(s)+1 and Re(s) <= 0.5 means z < 1.5: lift into Re > 0, step down.
     m = int(math.ceil(1.0 - sr))
-    sm = s + m
-    val = gamma_complex(sm) - _lower_series(sm, z)
-    A = sm
+    A = s + m
+    val = gamma_complex(A) - _lower_series(A, z)
     for _ in range(m):
         A -= 1
         val = (val - cmath.exp(A * math.log(z) - z)) / A

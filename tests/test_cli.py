@@ -169,6 +169,51 @@ class TestCertificate:
         assert r.exit_code == 0
         assert r.output == self.GOLDEN[a]
 
+    # stdout of `table`, captured before the float and mp series routes were
+    # moved onto one incomplete-gamma routine
+    TABLE_GOLDEN = {
+        ("lambda", "20"): """\
+1 1.0000000 1 +0.00e+00
+2 2.4620667 2.46206 +6.73e-06
+3 4.2060504 4.20605 +3.96e-07
+4 6.1590028 6.15900 +2.83e-06
+5 8.2792539 8.27925 +3.95e-06
+6 10.5395108 10.5395 +1.08e-05
+7 12.9203996 12.9203 +9.96e-05
+8 15.4074068 15.4074 +6.79e-06
+9 17.9892299 17.9892 +2.99e-05
+10 20.6568039 20.6568 +3.88e-06
+11 23.4026888 23.4026 +8.88e-05
+12 26.2206633 26.2206 +6.33e-05
+13 29.1054445 29.1054 +4.45e-05
+14 32.0524882 32.0524 +8.82e-05
+15 35.0578424 35.0578 +4.24e-05
+16 38.1180373 38.1180 +3.73e-05
+17 41.2300014 41.2300 +1.44e-06
+18 44.3909958 44.3909 +9.58e-05
+19 47.5985624 47.5985 +6.24e-05
+20 50.8504826 50.8504 +8.26e-05
+""",
+        ("constants", "10"): """\
+1 2.2802910 2.28029 +1.02e-06
+2 3.7815277 3.7815 +2.77e-05
+3 5.7645930 5.7645 +9.30e-05
+4 8.3827293 8.3827 +2.93e-05
+5 11.8119908 11.812 -9.19e-06
+6 16.2649605 16.265 -3.95e-05
+7 22.0004992 22.000 +4.99e-04
+8 29.3339447 29.333 +9.45e-04
+9 38.6487975 38.648 +7.97e-04
+10 50.4104165 50.410 +4.16e-04
+""",
+    }
+
+    @pytest.mark.parametrize("which,i_max", sorted(TABLE_GOLDEN))
+    def test_golden_table_stdout(self, runner, which, i_max):
+        r = runner.invoke(main, ["table", "--which", which, "--i-max", i_max])
+        assert r.exit_code == 0
+        assert r.output == self.TABLE_GOLDEN[(which, i_max)]
+
 
 class TestRhoTable:
     def test_stdout_equals_file(self, runner, tmp_path):

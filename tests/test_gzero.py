@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densediv._constants import EULER_GAMMA, EXP_NEG_GAMMA
-from densediv.errors import DomainError, SearchFailureError
-from densediv import gzero
+from densediv.errors import DomainError, NumericalConsistencyError, SearchFailureError
+from densediv import gzero, specfun
 from densediv.gzero import (
     count_zeros_rect,
     dgda_identity_check,
@@ -113,12 +113,10 @@ class TestSeriesRoute:
 
 
 def _per_k_gammalow(s, z, k, tol):
-    # the direct evaluation of one term: series for Re A > 0.5, else
-    # Gamma(A) minus the continued fraction for the upper gamma
-    A = s + k
-    if mp.re(A) > 0.5:
-        return gzero._mp_gammalow_series(A, z, tol)
-    return mp.gamma(A) - gzero._mp_gammaup_cf(A, z, tol)
+    # the direct evaluation of one term by the shared routine: series for
+    # Re A > 0.5, else Gamma(A) minus the continued fraction for the upper gamma
+    tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
+    return specfun._lower_gamma(s + k, z, tol, tol, mp.exp, mp.log, mp.gamma, tiny)
 
 
 class TestDownwardRecurrence:
@@ -294,7 +292,7 @@ class TestFindLambda:
 
     def test_nonpositive_start_raises(self, monkeypatch):
         # the sign scan needs g_a(0) a e^gamma > 0; an explicit error, not an assert
-        from densediv import gzero
+        from densediv import gzero, specfun
 
         monkeypatch.setattr(gzero, "g_eval_neg_int", lambda a, n: Fraction(0))
         with pytest.raises(SearchFailureError):
@@ -363,6 +361,17 @@ class TestWinding:
     def test_bad_rect(self):
         with pytest.raises(DomainError):
             count_zeros_rect(1, (0.0, -1.0, 0.0, 1.0))
+
+    def test_unresolved_phase_raises(self, monkeypatch):
+        # modulus 1 everywhere, phase jumping by pi at Re s = -1/3 on the
+        # bottom and top edges: no bisection can resolve the step
+        def g(s):
+            return np.where(np.real(s) < -1.0 / 3.0, 1.0 + 0j, -1.0 + 0j)
+
+        monkeypatch.setattr(gzero, "g_eval_integral_many", lambda a, ss: g(np.asarray(ss)))
+        monkeypatch.setattr(gzero, "g_eval_integral", lambda a, s: complex(g(s)))
+        with pytest.raises(NumericalConsistencyError, match="unresolved"):
+            count_zeros_rect(1, (-1.0, 1.0, -1.0, 1.0))
 
 
 class TestDgda:
