@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 import click
+import numpy as np
 
 from . import families, gzero, reference, rho
 from ._constants import EULER_GAMMA
@@ -242,32 +243,20 @@ def _suite_sandwich(nmax: int) -> list[dict]:
     imax = 4
     for y in ys:
         t = families.membership_tables(nmax, y, imax)
-        sm, tl, tu = t["smooth"], t["thetalower"], t["thetaupper"]
-        de, st = t["dense"], t["strongdense"]
-        bad = 0
-        for i in range(1, imax + 1):
-            for n in range(1, nmax + 1):
-                if sm[n] and not tl[i][n]:
-                    bad += 1
-                elif tl[i][n] and not st[i][n]:
-                    bad += 1
-                elif st[i][n] and not de[i][n]:
-                    bad += 1
-                elif de[i][n] and not tu[i][n]:
-                    bad += 1
+
+        def levels(kind):  # rows i = 0..imax over n = 1..nmax
+            return np.array([np.frombuffer(b, dtype=np.uint8)[1:] for b in t[kind]], dtype=bool)
+
+        sm = np.frombuffer(t["smooth"], dtype=np.uint8)[1:].astype(bool)
+        tl, tu, de, st = (levels(k) for k in ("thetalower", "thetaupper", "dense", "strongdense"))
+        # an (i, n) counts once however many links fail at it
+        fails = (sm > tl[1:]) | (tl[1:] > st[1:]) | (st[1:] > de[1:]) | (de[1:] > tu[1:])
+        bad = int(np.count_nonzero(fails))
         results.append({"name": f"sandwich chain y={y}", "passed": bad == 0,
                         "detail": f"violations={bad} over n<={nmax}, i<={imax}"})
-        nest = all(
-            not de[i + 1][n] or de[i][n]
-            for i in range(imax)
-            for n in range(1, nmax + 1)
-        ) and all(
-            not st[i + 1][n] or st[i][n]
-            for i in range(imax)
-            for n in range(1, nmax + 1)
-        )
+        nest = not (de[1:] > de[:-1]).any() and not (st[1:] > st[:-1]).any()
         results.append({"name": f"nesting y={y}", "passed": nest, "detail": ""})
-        eq12 = all(de[i][n] == st[i][n] for i in (1, 2) for n in range(1, nmax + 1))
+        eq12 = np.array_equal(de[1:3], st[1:3])
         results.append({"name": f"dense==strong for i<=2, y={y}", "passed": eq12, "detail": ""})
     return results
 

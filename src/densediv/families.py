@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .integers import (
-    DEFAULT_DIVISOR_CAP,
     FactoredInteger,
     divisor_lists,
     divisors,
@@ -161,11 +160,9 @@ class FamilyOracle:
     enumeration share work; safe to reuse across calls with the same y.
     """
 
-    def __init__(self, y: Fraction, spf=None, divisor_cap: int = DEFAULT_DIVISOR_CAP):
+    def __init__(self, y: Fraction):
         self.y = Fraction(y)
         self.py, self.qy = self.y.numerator, self.y.denominator
-        self.spf = spf
-        self.cap = divisor_cap
         self._dense: dict[tuple[int, int], bool] = {}
         self._strong: dict[tuple[int, int], bool] = {}
         self._divs: dict[int, list[int]] = {}
@@ -173,7 +170,7 @@ class FamilyOracle:
     def _divisors(self, n: int) -> list[int]:
         d = self._divs.get(n)
         if d is None:
-            d = divisors(factorize(n, self.spf), cap=self.cap)
+            d = divisors(factorize(n))
             self._divs[n] = d
         return d
 
@@ -362,97 +359,93 @@ def count_family(spec: FamilySpec, x: int, with_model: bool = True) -> CountRepo
 # ---------------------------------------------------------------------------
 
 
+# The y-dense check runs over this many slices of the divisor CSR, cut at
+# owner boundaries, so that its temporaries stay small.
+_CHECK_SLICES = 8
+
+
+def _exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """a as int32, int64 or Python ints: the first that holds products up to bound."""
+    return a.astype(np.int32 if bound < 2**31 else np.int64 if bound < 2**63 else object)
+
+
+def _blocks(N: int):
+    """Slices [lo, 2 lo) of 2..N: an entry n that reads entries <= n/2 finds them final."""
+    lo = 2
+    while lo <= N:
+        yield slice(lo, 2 * lo)
+        lo *= 2
+
+
+def _not_y_dense(start: np.ndarray, flat: np.ndarray, py: int, qy: int, kept) -> np.ndarray:
+    """Owners n with two consecutive kept divisors d < d' and d' qy > d py.
+    kept(d, n) masks divisors d of owners n, aligned with a slice of flat."""
+    N = len(start) - 2
+    bad = np.zeros(N + 1, dtype=bool)
+    owners = np.unique(np.searchsorted(start, np.linspace(0, start[-1], _CHECK_SLICES + 1)))
+    bound = N * max(py, qy)
+    for a, b in zip(owners[:-1], owners[1:]):
+        d = flat[start[a] : start[b]]
+        n = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(start[a : b + 1]))
+        k = kept(d, n)
+        d, n = _exact(d[k], bound), n[k]
+        gap = (n[1:] == n[:-1]) & (d[1:] * qy > d[:-1] * py)
+        bad[n[1:][gap]] = True
+    return bad
+
+
 def membership_tables(N: int, y: Fraction, imax: int) -> dict:
-    """Byte tables over n <= N: smooth, thetalower/thetaupper/dense/strongdense
-    per level i = 0..imax.  Built by sieving + divisor-list DP."""
+    """Byte tables over n <= N: smooth, and thetalower/thetaupper/dense/
+    strongdense per level i = 0..imax (level 0 holds every n).
+
+    Array recurrences over every n <= N, compared exactly in int32, int64 or
+    Python ints.  A chain family holds n when P^+(n) passes against the
+    parent m = n / P^+(n) and m is a member.  Dense(i) keeps the divisors in
+    Dense(i-1); StrongDense(i) keeps, for each j, the d in S_j with n/d in
+    S_{i-1-j}, and needs n in both; one y-dense check over the divisor CSR
+    serves both.  Neither the oracle nor the chain tree is used, so the
+    tables stay an independent route.  Index 0 is 0 in smooth and in
+    dense/strongdense for i >= 1, and 1 elsewhere.
+    """
     y = Fraction(y)
     py, qy = y.numerator, y.denominator
-    spf = sieve_spf(max(N, 2))
+    n = np.arange(N + 1, dtype=np.int32)
+    spf = sieve_spf(max(N, 2))[: N + 1].astype(np.int32)
+    lpf = spf.copy()  # P^+(n) = max(P^-(n), P^+(n / P^-(n)))
+    for s in _blocks(N):
+        np.maximum(lpf[s], lpf[n[s] // spf[s]], out=lpf[s])
+    parent = n // np.maximum(lpf, 1)
+    ones = np.ones(N + 1, dtype=bool)
 
-    # prime chains per n for the theta families
-    smooth = bytearray(N + 1)
-    smooth[1] = 1
-    tl = [bytearray([1]) * (N + 1) for _ in range(imax + 1)]
-    tu = [bytearray([1]) * (N + 1) for _ in range(imax + 1)]
-    for n in range(2, N + 1):
-        m = n
-        plist = []
-        while m > 1:
-            p = int(spf[m])
-            while m % p == 0:
-                plist.append(p)
-                m //= p
-        plist.sort()
-        smooth[n] = 1 if plist[-1] * qy <= py else 0
-        for i in range(1, imax + 1):
-            okl = okt = True
-            m = 1
-            for p in plist:
-                if okl and not (p * qy <= py or p**i * qy <= py * m):
-                    okl = False
-                if okt and p**i * qy**i > py**i * m:
-                    okt = False
-                if not (okl or okt):
-                    break
-                m *= p
-            tl[i][n] = 1 if okl else 0
-            tu[i][n] = 1 if okt else 0
+    def chain(step, bound):  # step(p, m) runs only where the parent m is a member
+        t = ones.copy()
+        for s in _blocks(N):
+            t[s] = t[parent[s]]
+            k = s.start + np.flatnonzero(t[s])
+            t[k] = step(_exact(lpf[k], bound), _exact(parent[k], bound))
+        return t
 
-    dl = divisor_lists(N)
-    dense = [bytearray([1]) * (N + 1)]
+    smooth = lpf <= py // qy  # only the last step binds
+    smooth[0] = False
+    tl, tu, dense, strong = [ones], [ones], [ones], [ones]
+    start, flat = divisor_lists(N)
     for i in range(1, imax + 1):
-        prev = dense[i - 1]
-        cur = bytearray(N + 1)
-        cur[1] = 1
-        for n in range(2, N + 1):
-            if not prev[n]:
-                continue
-            last = 1
-            ok = True
-            for d in dl[n]:
-                if prev[d]:
-                    if d * qy > last * py:
-                        ok = False
-                        break
-                    last = d
-            cur[n] = 1 if ok else 0
-        dense.append(cur)
-
-    strong = [bytearray([1]) * (N + 1)]
-    for i in range(1, imax + 1):
-        cur = bytearray(N + 1)
-        cur[1] = 1
-        for n in range(2, N + 1):
-            divs = dl[n]
-            nn = len(divs)
-            good = True
-            for j in range(i):
-                A = strong[j]
-                Bt = strong[i - 1 - j]
-                if not Bt[n]:  # 1 must belong to the filtered sequence
-                    good = False
-                    break
-                last = 0
-                ok = True
-                for k in range(nn):
-                    d = divs[k]
-                    if A[d] and Bt[divs[nn - 1 - k]]:
-                        if last and d * qy > last * py:
-                            ok = False
-                            break
-                        last = d
-                if not ok or last != n:
-                    good = False
-                    break
-            cur[n] = 1 if good else 0
+        b = max((N * qy) ** i, py**i * N)  # bounds every product below
+        tl.append(chain(lambda p, m: (p * qy <= py) | (p**i * qy <= py * m), b))
+        tu.append(chain(lambda p, m: (p * qy) ** i <= py**i * m, b))
+        prev = dense[-1]
+        dense.append(prev & ~_not_y_dense(start, flat, py, qy, lambda d, m: prev[d]))
+        # j and i-1-j keep the mirror images d <-> n/d: y-dense or not together
+        cur = ones.copy()
+        for j in range((i + 1) // 2):
+            A, B = strong[j], strong[i - 1 - j]
+            cur &= A & B & ~_not_y_dense(start, flat, py, qy, lambda d, m: A[d] & B[m // d])
         strong.append(cur)
+        dense[i][0] = strong[i][0] = False
 
-    return {
-        "smooth": smooth,
-        "thetalower": tl,
-        "thetaupper": tu,
-        "dense": dense,
-        "strongdense": strong,
+    levels = {"thetalower": tl, "thetaupper": tu, "dense": dense, "strongdense": strong}
+    return {"smooth": bytearray(smooth.tobytes())} | {
+        kind: [bytearray(t.tobytes()) for t in ts] for kind, ts in levels.items()
     }
 
 

@@ -162,15 +162,28 @@ def divisors(f: FactoredInteger, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
     return divs
 
 
-def divisor_lists(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[list[int]]:
-    """Sorted divisor lists for every n <= limit, built by one multiples pass.
-
-    Total memory is ~limit*ln(limit) ints; intended for the bulk family scans.
+def divisor_lists(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted divisors of every n <= limit in CSR form: ``flat[start[n]:start[n+1]]``,
+    with int64 ``start`` and int32 ``flat``.  Each d <= isqrt(limit) writes
+    itself at its owners d*d, d*d+d, ..., then (d falling) the cofactor n/d
+    at the owners n > d*d, through a per-owner cursor.
     """
     if (limit + 1) * 16 > budget * 8:
         raise ResourceLimitError(f"divisor_lists limit {limit} exceeds budget")
-    dl: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            dl[m].append(d)
-    return dl
+    r = math.isqrt(limit)
+    start = np.zeros(limit + 2, dtype=np.int64)  # first the divisor count of n at n + 1
+    for d in range(1, r + 1):
+        start[d * d + 1 :: d] += 2
+        start[d * d + 1] -= 1
+    np.cumsum(start, out=start)
+    flat = np.empty(int(start[-1]), dtype=np.int32)
+    cursor = start[:-1].copy()
+    for d in range(1, r + 1):
+        owners = np.arange(d * d, limit + 1, d)
+        flat[cursor[owners]] = d
+        cursor[owners] += 1
+    for d in range(r, 0, -1):
+        owners = np.arange(d * (d + 1), limit + 1, d)
+        flat[cursor[owners]] = owners // d
+        cursor[owners] += 1
+    return start, flat

@@ -262,6 +262,49 @@ class TestVerifyAndDeterminism:
         r = runner.invoke(main, ["verify", "--suite", "sandwich", "--nmax", "2000"])
         assert r.exit_code == 0
 
+    def test_sandwich_suite_counts_violations(self, runner, monkeypatch):
+        from fractions import Fraction
+
+        from densediv import families
+
+        def planted(nmax, y, imax):
+            # every table holds every n, then each y gets its own faults
+            t = {"smooth": bytearray([1]) * (nmax + 1)}
+            for kind in ("thetalower", "thetaupper", "dense", "strongdense"):
+                t[kind] = [bytearray([1]) * (nmax + 1) for _ in range(imax + 1)]
+            if y == 2:
+                t["thetalower"][1][3] = 0  # smooth > ThetaLower(1)
+                # two links at (2, 5), ThetaLower > StrongDense and Dense > ThetaUpper;
+                # StrongDense(3) > StrongDense(2) and Dense(2) != StrongDense(2) there too
+                t["strongdense"][2][5] = t["thetaupper"][2][5] = 0
+            elif y == Fraction(5, 2):
+                # two links at (4, 9): smooth > ThetaLower and StrongDense > Dense
+                t["thetalower"][4][9] = t["dense"][4][9] = 0
+            elif y == 3:
+                # no link fails, but Dense(4) > Dense(3) at n = 6
+                t["smooth"][6] = 0
+                for kind in ("thetalower", "strongdense", "dense"):
+                    t[kind][3][6] = 0
+            else:
+                t["thetalower"][4][0] = 0  # n = 0 is not scanned
+            return t
+
+        monkeypatch.setattr(families, "membership_tables", planted)
+        r = runner.invoke(main, ["verify", "--suite", "sandwich", "--nmax", "10"])
+        assert r.exit_code == 4
+        doc = json.loads(r.output)
+        expect = []
+        for y, viol, nest, eq12 in (("2", 2, False, False), ("5/2", 1, True, True),
+                                    ("3", 0, False, True), ("10", 0, True, True)):
+            expect += [
+                {"name": f"sandwich chain y={y}", "passed": viol == 0,
+                 "detail": f"violations={viol} over n<=10, i<=4"},
+                {"name": f"nesting y={y}", "passed": nest, "detail": ""},
+                {"name": f"dense==strong for i<=2, y={y}", "passed": eq12, "detail": ""},
+            ]
+        assert doc["results"] == expect
+        assert doc["counts"] == {"total": 12, "failed": 5}
+
     def test_byte_identical_output(self, runner):
         args = ["count", "--family", "dense", "--i", "2", "--y", "2", "--x", "100",
                 "--format", "json"]

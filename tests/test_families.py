@@ -165,6 +165,38 @@ class TestSandwichSmall:
             assert bool(t["dense"][i_n][n]) == bool(t["smooth"][n]), n
 
 
+def _tables_match_definitions(N, y, imax=4):
+    """Every n <= N: dense/strongdense tables against a fresh oracle, chain
+    tables against is_member."""
+    from densediv.families import membership_tables
+
+    t = membership_tables(N, y, imax)
+    orc = FamilyOracle(y)
+    for n in range(1, N + 1):
+        assert bool(t["smooth"][n]) == is_member(n, FamilySpec("smooth", y)), n
+        for i in range(1, imax + 1):
+            assert bool(t["dense"][i][n]) == orc.dense(n, i), (n, i)
+            assert bool(t["strongdense"][i][n]) == orc.strong(n, i), (n, i)
+            for kind in ("thetalower", "thetaupper"):
+                assert bool(t[kind][i][n]) == is_member(n, FamilySpec(kind, y, i=i)), (kind, n, i)
+
+
+class TestMembershipTables:
+    @given(
+        st.tuples(st.integers(1, 50), st.integers(1, 50)).filter(lambda pq: pq[1] < pq[0] <= 12 * pq[1]),
+        st.integers(min_value=1, max_value=1500),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tables_match_definitions(self, pq, N):
+        # y = p/q in (1, 12] with p, q <= 50
+        _tables_match_definitions(N, Fraction(*pq))
+
+    def test_y_dense_products_past_int64(self):
+        # N py > 2**63: the y-dense check needs Python ints, and int64 products
+        # here wrap and flip memberships
+        _tables_match_definitions(1500, Fraction(10**17 + 3, 3 * 10**16))
+
+
 class TestEnumerationConsistency:
     def test_dense2_fast_path_matches_filter(self):
         cases = [(y, False) for y in (Y2, Fraction(5, 2), Fraction(7, 3), Fraction(10))]

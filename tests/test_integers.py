@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,9 +114,17 @@ class TestDivisors:
 
 
 def test_divisor_lists_consistent():
-    dl = divisor_lists(500)
-    for n in (1, 2, 360, 499, 500):
-        assert dl[n] == divisors(factorize(n))
+    start, flat = divisor_lists(500)
+    assert start.dtype == np.int64 and flat.dtype == np.int32
+    assert start[0] == start[1] == 0 and start[-1] == len(flat)
+    for n in range(1, 501):
+        assert flat[start[n] : start[n + 1]].tolist() == divisors(factorize(n)), n
+
+
+def test_divisor_lists_budget():
+    divisor_lists(1000, budget=2002)
+    with pytest.raises(ResourceLimitError):
+        divisor_lists(1001, budget=2002)
 
 
 def test_primes_upto():
