@@ -281,13 +281,12 @@ def _suite_identities(xmax: int) -> list[dict]:
             ok = families.check_ssf_identity(xmax, y, beta)
             results.append({"name": f"ssf identity beta={beta} y={y}", "passed": ok,
                             "detail": f"x={xmax}"})
-    from .integers import sieve_spf
-
-    spf = sieve_spf(max(min(xmax, 10**4), 2))
+    # Dense(2) by its definition (the bulk tables) against the theta_2 chain tree
     for y in (Fraction(2), Fraction(3)):
-        bad = sum(
-            0 if families.check_theta2(n, y, spf) else 1 for n in range(1, min(xmax, 10**4) + 1)
-        )
+        table = np.frombuffer(families.membership_tables(xmax, y, 2)["dense"][2], dtype=bool)
+        tree = np.zeros_like(table)
+        tree[families.enumerate_members(FamilySpec("dense", y, i=2), xmax)] = True
+        bad = int(np.count_nonzero(table[1:] != tree[1:]))
         results.append({"name": f"theta2 characterization y={y}", "passed": bad == 0,
                         "detail": f"violations={bad}"})
     return results

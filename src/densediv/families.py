@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,13 +228,17 @@ class FamilyOracle:
         return ok
 
 
-_ORACLES: dict[Fraction, FamilyOracle] = {}
+# The oracles of the most recently used y values, least recent first.
+_ORACLES: OrderedDict[Fraction, FamilyOracle] = OrderedDict()
+_ORACLE_CAP = 4
 
 
 def _oracle(y: Fraction) -> FamilyOracle:
-    if y not in _ORACLES:
-        _ORACLES[y] = FamilyOracle(y)
-    return _ORACLES[y]
+    orc = _ORACLES.pop(y, None) or FamilyOracle(y)
+    _ORACLES[y] = orc
+    if len(_ORACLES) > _ORACLE_CAP:
+        _ORACLES.popitem(last=False)
+    return orc
 
 
 def is_member(n: int | FactoredInteger, spec: FamilySpec) -> bool:
@@ -471,55 +476,58 @@ class SSFValue:
         return float(self.key) ** (1.0 / self.beta.denominator)
 
 
-def _ssf_keys(f: FactoredInteger, pb: int, qb: int):
-    """(d, d**qb * P^-(d)**pb) for each divisor d > 1 of f.n, increasing in d:
-    the exact key of d * P^-(d)**beta for beta = pb/qb."""
-    for d in divisors(f)[1:]:
-        for q, _ in f.factors:
-            if d % q == 0:
-                yield d, d**qb * q**pb
-                break
+def _beta(beta: Fraction | int) -> Fraction:
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise DomainError("beta must be > 0")
+    return beta
 
 
 def schinzel_szekeres(n: int | FactoredInteger, beta: Fraction | int) -> SSFValue:
     """F_beta(n) = max over divisors d > 1 of d * (P^-(d))^beta; F_beta(1) = 1."""
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
+    beta = _beta(beta)
+    pb, qb = beta.numerator, beta.denominator
     f = n if isinstance(n, FactoredInteger) else factorize(n)
-    best_d, best_key = max(
-        _ssf_keys(f, beta.numerator, beta.denominator), key=lambda dk: dk[1], default=(1, 1)
+    keys = (
+        (d, d**qb * next(q for q, _ in f.factors if d % q == 0) ** pb) for d in divisors(f)[1:]
     )
+    best_d, best_key = max(keys, key=lambda dk: dk[1], default=(1, 1))
     return SSFValue(d=best_d, key=best_key, beta=beta)
 
 
-def _ssf_below(f: FactoredInteger, bound_num: int, bound_den: int, pb: int, qb: int) -> bool:
-    """Exact F_beta(n) <= bound (bound = bound_num/bound_den), beta = pb/qb."""
-    if f.n == 1:
-        return bound_num >= bound_den
-    # d * p^beta <= B  <=>  d^qb p^pb B_den^qb <= B_num^qb
-    return all(key * bound_den**qb <= bound_num**qb for _, key in _ssf_keys(f, pb, qb))
+def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.ndarray:
+    """Mask over n = 0..N of key(F_beta(n)) * den <= num * n**e, exact.
+
+    One pass over the divisor CSR: the key of n is the row max of
+    d**qb * P^-(d)**pb (beta = pb/qb, P^-(d) = spf[d]).  The divisor d = 1
+    adds key 1, which is F_beta(1)'s and below every key of a d > 1.
+    Products are int32, int64 or Python ints, sized by the largest one
+    compared.  Entry 0 is False.
+    """
+    if N < 1:
+        raise DomainError("x must be >= 1")
+    beta = _beta(beta)
+    pb, qb = beta.numerator, beta.denominator
+    start, flat = divisor_lists(N)
+    bound = max(N ** (qb + pb) * den, num * N**e)
+    keys = _exact(flat, bound) ** qb * _exact(sieve_spf(max(N, 2))[flat], bound) ** pb
+    top = np.maximum.reduceat(keys, start[1:-1])
+    n = _exact(np.arange(1, N + 1), bound)
+    return np.concatenate(([False], top * den <= num * n**e))
 
 
 def count_A_beta(x: int, y: Fraction | int, beta: Fraction | int, squarefree: bool = False) -> int:
-    """|{n <= x : F_beta(n) <= x*y}| by direct scan (exact comparisons)."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
+    """|{n <= x : F_beta(n) <= x*y}| (exact comparisons)."""
     y = Fraction(y)
     if y < 1:
         raise DomainError("y must be >= 1")
-    beta = Fraction(beta)
-    pb, qb = beta.numerator, beta.denominator
+    qb = Fraction(beta).denominator
     bound = x * y
-    spf = sieve_spf(max(x, 2))
-    total = 0
-    for n in range(1, x + 1):
-        f = factorize(n, spf)
-        if squarefree and not f.is_squarefree:
-            continue
-        if _ssf_below(f, bound.numerator, bound.denominator, pb, qb):
-            total += 1
-    return total
+    # d p^beta <= B  <=>  d^qb p^pb B_den^qb <= B_num^qb
+    ok = _ssf_within(x, beta, bound.numerator**qb, bound.denominator**qb, 0)
+    if squarefree:
+        ok &= _squarefree_mask(x)
+    return int(np.count_nonzero(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +562,12 @@ def phi_count(x: float, y: float | Fraction, squarefree: bool = False, spf=None)
     return 1 + int(np.count_nonzero(keep))
 
 
-def check_phi_identity(x: int, spec: FamilySpec) -> bool:
-    """Exact check of  [x] = sum over members n of Phi(x/n, theta(n)),
-    or its squarefree analogue with Phi_0 on both sides."""
+def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """(c, ok) over m = 0..x: c[m] counts the pairs n k = m with n a member and
+    k = 1 or P^-(k) > theta(n) (k squarefree too in the squarefree variant);
+    ok[m] is what the identity asks c[m] to be: 1, or mu^2(m).  Summed to x,
+    c gives sum_n Phi(x/n, theta(n)) and ok gives [x] or its squarefree count.
+    """
     if x < 1:
         raise DomainError("x must be >= 1")
     if spec.kind not in _B_KINDS:
@@ -564,51 +575,30 @@ def check_phi_identity(x: int, spec: FamilySpec) -> bool:
     if Fraction(spec.y) < 2:
         raise DomainError("theta(n) >= 2 requires y >= 2")
     spf = sieve_spf(max(x, 2))
-    sf = spec.squarefree
-    sfmask = _squarefree_mask(x) if sf else None
+    ok = _squarefree_mask(x) if spec.squarefree else np.arange(x + 1) > 0
     members = enumerate_members(spec, x)
-    rhs = 0
+    pos = [np.array(members)]  # k = 1
     for n in members:
-        t = theta_floor(spec, n)
-        xn = x // n
-        if xn < 1:
-            continue
-        keep = spf[2 : xn + 1] > t
-        if sf:
-            keep = keep & sfmask[2 : xn + 1]
-        rhs += 1 + int(np.count_nonzero(keep))
-    lhs = int(np.count_nonzero(_squarefree_mask(x)[1:])) if sf else x
-    return lhs == rhs
+        t, cap = theta_floor(spec, n), x // n
+        if t >= cap:  # theta is nondecreasing, so no later member has a k > 1
+            break
+        k = np.arange(t + 1, cap + 1)  # P^-(k) > t forces k > t
+        pos.append(n * k[(spf[t + 1 : cap + 1] > t) & ok[t + 1 : cap + 1]])
+    return np.bincount(np.concatenate(pos), minlength=x + 1), ok
+
+
+def check_phi_identity(x: int, spec: FamilySpec) -> bool:
+    """Exact check of  [x] = sum over members n of Phi(x/n, theta(n)),
+    or its squarefree analogue with Phi_0 on both sides."""
+    c, ok = _phi_pairs(x, spec)
+    return int(c.sum()) == int(np.count_nonzero(ok))
 
 
 def check_phi_identity_range(x_max: int, spec: FamilySpec) -> bool:
-    """The same identity verified simultaneously for every x <= x_max."""
-    if spec.kind not in _B_KINDS:
-        raise DomainError("identity applies to chain families")
-    spf = sieve_spf(max(x_max, 2))
-    sf = spec.squarefree
-    sfmask = _squarefree_mask(x_max) if sf else None
-    members = enumerate_members(spec, x_max)
-    rhs = np.zeros(x_max + 1, dtype=np.int64)
-    for n in members:
-        t = theta_floor(spec, n)
-        cap = x_max // n
-        keep = np.zeros(cap + 1, dtype=np.int64)
-        if cap >= 1:
-            keep[1] = 1
-            if cap >= 2:
-                k = spf[2 : cap + 1] > t
-                if sf:
-                    k = k & sfmask[2 : cap + 1]
-                keep[2:] = k
-        prefix = np.cumsum(keep)
-        xs = np.arange(n, x_max + 1)
-        rhs[xs] += prefix[xs // n]
-    if sf:
-        lhs = np.cumsum(np.concatenate(([0], _squarefree_mask(x_max)[1:].astype(np.int64))))
-    else:
-        lhs = np.arange(x_max + 1, dtype=np.int64)
-    return bool(np.array_equal(rhs[1:], lhs[1:]))
+    """The same identity verified simultaneously for every x <= x_max: each
+    m <= x_max is n k for exactly one pair (for squarefree m only)."""
+    c, ok = _phi_pairs(x_max, spec)
+    return bool(np.array_equal(c, ok))
 
 
 def check_partial_density_sum(spec: FamilySpec, N: int) -> float:
@@ -635,41 +625,31 @@ def check_partial_density_sum(spec: FamilySpec, N: int) -> float:
     return total
 
 
-def check_ssf_identity(x: int, y: Fraction | int, beta: Fraction | int) -> bool:
-    """Exact check of |{n <= x : F_beta(n)/n <= y^beta}| = B_{1/beta}(x, y)."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    y = Fraction(y)
+def _ssf_identity(x: int, y: Fraction | int, beta: Fraction | int):
+    """The mask of F_beta(n) <= n y^beta over n = 0..x, and the a = 1/beta chain family."""
+    y, beta = Fraction(y), Fraction(beta)
     if y < 2:
         raise DomainError("y must be >= 2")
-    beta = Fraction(beta)
     pb, qb = beta.numerator, beta.denominator
-    spf = sieve_spf(max(x, 2))
-    yn, yd = y.numerator**pb, y.denominator**pb
-    # F_beta(n) <= n y^beta  <=>  every d: d^qb p^pb y_den^pb <= n^qb y_num^pb
-    lhs = sum(
-        all(key * yd <= n**qb * yn for _, key in _ssf_keys(factorize(n, spf), pb, qb))
-        for n in range(1, x + 1)
-    )
-    rhs = count_members(FamilySpec("bpower", y, a=Fraction(1) / beta), x)
-    return lhs == rhs
+    # F_beta(n) <= n y^beta  <=>  key * y_den^pb <= n^qb * y_num^pb
+    ok = _ssf_within(x, beta, y.numerator**pb, y.denominator**pb, qb)
+    return ok, FamilySpec("bpower", y, a=1 / beta)
+
+
+def check_ssf_identity(x: int, y: Fraction | int, beta: Fraction | int) -> bool:
+    """Exact check of |{n <= x : F_beta(n)/n <= y^beta}| = B_{1/beta}(x, y)."""
+    ok, spec = _ssf_identity(x, y, beta)
+    return int(np.count_nonzero(ok)) == count_members(spec, x)
 
 
 def check_ssf_identity_range(x_max: int, y: Fraction | int, beta: Fraction | int) -> bool:
     """Per-n form of the identity: F_beta(n) <= n y^beta iff n is a member of
     the a = 1/beta chain family, for every n <= x_max.  Implies the counting
     identity at every x <= x_max."""
-    y = Fraction(y)
-    beta = Fraction(beta)
-    pb, qb = beta.numerator, beta.denominator
-    members = set(enumerate_members(FamilySpec("bpower", y, a=Fraction(1) / beta), x_max))
-    spf = sieve_spf(max(x_max, 2))
-    yn, yd = y.numerator**pb, y.denominator**pb
-    for n in range(1, x_max + 1):
-        ok = all(key * yd <= n**qb * yn for _, key in _ssf_keys(factorize(n, spf), pb, qb))
-        if ok != (n in members):
-            return False
-    return True
+    ok, spec = _ssf_identity(x_max, y, beta)
+    tree = np.zeros_like(ok)
+    tree[enumerate_members(spec, x_max)] = True
+    return bool(np.array_equal(ok, tree))
 
 
 def theta2_of(m: int, y: Fraction, spf=None) -> Fraction:

@@ -166,11 +166,14 @@ def divisor_lists(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> tuple[np.nd
     """Sorted divisors of every n <= limit in CSR form: ``flat[start[n]:start[n+1]]``,
     with int64 ``start`` and int32 ``flat``.  Each d <= isqrt(limit) writes
     itself at its owners d*d, d*d+d, ..., then (d falling) the cofactor n/d
-    at the owners n > d*d, through a per-owner cursor.
+    at the owners n > d*d, through a per-owner cursor.  Refused before any
+    array is built when ``start`` and ``flat`` together pass budget * 8 bytes.
     """
-    if (limit + 1) * 16 > budget * 8:
-        raise ResourceLimitError(f"divisor_lists limit {limit} exceeds budget")
     r = math.isqrt(limit)
+    d = np.arange(1, r + 1, dtype=np.int64)
+    entries = int((2 * (limit // d - d) + 1).sum())  # sum of the divisor counts
+    if 8 * (limit + 2) + 4 * entries > budget * 8:
+        raise ResourceLimitError(f"divisor_lists limit {limit} exceeds budget")
     start = np.zeros(limit + 2, dtype=np.int64)  # first the divisor count of n at n + 1
     for d in range(1, r + 1):
         start[d * d + 1 :: d] += 2

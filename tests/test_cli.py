@@ -1,10 +1,13 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from densediv.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -213,6 +216,18 @@ class TestCertificate:
         r = runner.invoke(main, ["table", "--which", which, "--i-max", i_max])
         assert r.exit_code == 0
         assert r.output == self.TABLE_GOLDEN[(which, i_max)]
+
+
+    # stdout of `verify --suite identities`, captured while the identities were
+    # still checked by per-n loops
+    @pytest.mark.parametrize("args,golden", [
+        ([], "verify_identities.json"),
+        (["--xmax", "2000"], "verify_identities_xmax2000.json"),
+    ])
+    def test_golden_identities_stdout(self, runner, args, golden):
+        r = runner.invoke(main, ["verify", "--suite", "identities", *args])
+        assert r.exit_code == 0
+        assert r.output == (GOLDEN_DIR / golden).read_text()
 
 
 class TestRhoTable:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densediv import families
 from densediv.errors import DomainError, ResourceLimitError
 from densediv.families import (
     CountReport,
@@ -197,6 +198,19 @@ class TestMembershipTables:
         _tables_match_definitions(1500, Fraction(10**17 + 3, 3 * 10**16))
 
 
+class TestOracleCache:
+    def test_bounded_lru_over_y(self):
+        for k in range(20):
+            is_member(12, FamilySpec("dense", Fraction(2 * k + 5, 2), i=2))
+        assert len(families._ORACLES) <= families._ORACLE_CAP
+        y = Fraction(7, 3)
+        is_member(12, FamilySpec("dense", y, i=2))
+        orc = families._ORACLES[y]
+        is_member(18, FamilySpec("strongdense", y, i=2))
+        assert families._ORACLES[y] is orc
+        assert (2, 18) in orc._strong
+
+
 class TestEnumerationConsistency:
     def test_dense2_fast_path_matches_filter(self):
         cases = [(y, False) for y in (Y2, Fraction(5, 2), Fraction(7, 3), Fraction(10))]
@@ -368,6 +382,34 @@ class TestABeta:
             assert count_A_beta(x, Y2, Fraction(1), squarefree=True) <= count_A_beta(
                 x, Y2, Fraction(1)
             )
+
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.fractions(min_value=1, max_value=10, max_denominator=50),
+        st.integers(min_value=1, max_value=1500),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_single_n_route(self, p, q, y, x):
+        _a_beta_matches_single_n_route(x, y, Fraction(p, q))
+
+    def test_products_past_int64(self):
+        # beta = 7/3 keys reach d^10 and the bound's denominator cubed is ~1e49:
+        # the bulk pass needs Python ints
+        _a_beta_matches_single_n_route(600, Fraction(10**17 + 3, 3 * 10**16), Fraction(7, 3))
+
+
+def _a_beta_matches_single_n_route(x, y, beta):
+    """count_A_beta, plain and squarefree, against schinzel_szekeres at every n <= x."""
+    bound = x * y
+    qb = beta.denominator
+    inside = [
+        n for n in range(1, x + 1)
+        if schinzel_szekeres(n, beta).key * bound.denominator**qb <= bound.numerator**qb
+    ]
+    assert count_A_beta(x, y, beta) == len(inside)
+    sf = sum(1 for n in inside if factorize(n).is_squarefree)
+    assert count_A_beta(x, y, beta, squarefree=True) == sf
 
 
 class TestSquarefreeThreshold:

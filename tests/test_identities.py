@@ -10,9 +10,12 @@ from densediv.families import (
     check_phi_identity,
     check_phi_identity_range,
     check_ssf_identity,
+    check_ssf_identity_range,
     check_theta2,
+    count_A_beta,
     enumerate_members,
     is_member,
+    schinzel_szekeres,
 )
 from densediv.integers import factorize, sieve_spf
 
@@ -38,6 +41,17 @@ class TestPhiIdentity:
         with pytest.raises(DomainError):
             check_phi_identity(10, FamilySpec("bpower", Fraction(3, 2), a=Fraction(1)))
 
+    def test_range_y_below_2_rejected(self):
+        with pytest.raises(DomainError):
+            check_phi_identity_range(10, FamilySpec("bpower", Fraction(3, 2), a=Fraction(1)))
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("bpower", Fraction(2), a=Fraction(1)),
+        FamilySpec("bpower", Fraction(3), a=Fraction(1, 2), squarefree=True),
+    ])
+    def test_range_1e5(self, spec):
+        assert check_phi_identity_range(100_000, spec)
+
 
 class TestDensitySum:
     def test_single_term(self):
@@ -62,6 +76,26 @@ class TestSSFIdentity:
         assert check_ssf_identity(1, Fraction(2), Fraction(1))
         assert check_ssf_identity(1000, Fraction(2), Fraction(1))
         assert check_ssf_identity(1000, Fraction(3), Fraction(2))
+
+    def test_range_products_past_int64(self):
+        assert check_ssf_identity_range(600, Fraction(10**17 + 3, 3 * 10**16), Fraction(7, 3))
+
+    def test_range_y_below_2_rejected(self):
+        with pytest.raises(DomainError):
+            check_ssf_identity_range(10, Fraction(3, 2), Fraction(1))
+
+    @pytest.mark.parametrize("beta", [Fraction(0), Fraction(-1)])
+    def test_beta_not_positive_rejected(self, beta):
+        calls = [
+            lambda: schinzel_szekeres(10, beta),
+            lambda: count_A_beta(10, Fraction(2), beta),
+            lambda: count_A_beta(10, Fraction(2), beta, squarefree=True),
+            lambda: check_ssf_identity(10, Fraction(2), beta),
+            lambda: check_ssf_identity_range(10, Fraction(2), beta),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestTheta2:

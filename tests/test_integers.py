@@ -122,9 +122,28 @@ def test_divisor_lists_consistent():
 
 
 def test_divisor_lists_budget():
-    divisor_lists(1000, budget=2002)
+    # n <= 1000 have 7069 divisors in all: 8 * 1002 + 4 * 7069 = 36292 bytes,
+    # which budget 4537 (36296 bytes) holds and 4536 does not
+    assert len(divisor_lists(1000, budget=4537)[1]) == 7069
     with pytest.raises(ResourceLimitError):
-        divisor_lists(1001, budget=2002)
+        divisor_lists(1000, budget=4536)
+    with pytest.raises(ResourceLimitError):
+        divisor_lists(1001, budget=4537)
+
+
+def test_divisor_lists_refuses_before_allocating(monkeypatch):
+    import densediv.integers as integers
+
+    class NoArrays:
+        def __getattr__(self, name):
+            if name in ("zeros", "empty", "cumsum"):
+                raise AssertionError(f"np.{name} called before the budget check")
+            return getattr(np, name)
+
+    monkeypatch.setattr(integers, "np", NoArrays())
+    # 16 MiB holds 16 bytes per n <= 1e6 but not the 64 MB of its divisors
+    with pytest.raises(ResourceLimitError):
+        integers.divisor_lists(10**6, budget=1 << 21)
 
 
 def test_primes_upto():
