@@ -16,9 +16,10 @@ import numpy as np
 
 from . import families, gzero, reference, rho
 from ._constants import EULER_GAMMA
-from .errors import DenseDivError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .families import FamilySpec
 
+EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
@@ -54,10 +55,7 @@ def _make_spec(family: str, y: Fraction, i: int | None, a: Fraction | None, squa
         if a is None:
             raise click.UsageError(f"--a is required for family {family}")
         kwargs["a"] = a
-    try:
-        return FamilySpec(family, y, **kwargs)
-    except DenseDivError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return _guard(FamilySpec, family, y, **kwargs)
 
 
 def _emit(fmt: str, header: list[str], rows: list[list], plain_fn=None):
@@ -78,6 +76,9 @@ def _emit(fmt: str, header: list[str], rows: list[list], plain_fn=None):
 def _guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except DomainError as exc:
+        click.echo(f"domain error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
     except ResourceLimitError as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
@@ -148,8 +149,8 @@ def count(family, y_, i_, a_, squarefree, x, fmt):
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv", "json"]), default="plain")
 def table(which, i_max, fmt):
     """Reproduce the exponent (lambda) or constant (C) table for a = 1/i."""
-    if i_max > 25:
-        raise click.UsageError("--i-max must be <= 25")
+    if not 1 <= i_max <= 25:
+        raise click.UsageError("--i-max must be in 1..25")
     rows = []
     for i in range(1, i_max + 1):
         cert = _guard(gzero.find_lambda, Fraction(1, i))
@@ -263,14 +264,9 @@ def _suite_sandwich(nmax: int) -> list[dict]:
 
 def _suite_identities(xmax: int) -> list[dict]:
     results = []
-    configs = [
-        FamilySpec("bpower", Fraction(2), a=Fraction(1)),
-        FamilySpec("bpower", Fraction(3), a=Fraction(1)),
-        FamilySpec("bpower", Fraction(3), a=Fraction(1, 2)),
-    ]
-    for spec in configs:
+    for y, a in ((2, 1), (3, 1), (3, Fraction(1, 2))):
         for sf in (False, True):
-            s = FamilySpec(spec.kind, spec.y, a=spec.a, squarefree=sf)
+            s = FamilySpec("bpower", Fraction(y), a=Fraction(a), squarefree=sf)
             ok = families.check_phi_identity_range(xmax, s)
             results.append({
                 "name": f"phi identity theta=y*n^{s.a} y={s.y} sf={sf}",

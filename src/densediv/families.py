@@ -311,8 +311,6 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool, node_budget: int = 200_0
 
 def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
     """All members of the family up to x, sorted increasing."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
     if _is_chain(spec):
         _, members = _iter_tree(spec, x, collect=True)
         members.sort()
@@ -328,8 +326,6 @@ def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
 
 def count_members(spec: FamilySpec, x: int) -> int:
     """The counting function of the family at x (exact)."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
     if _is_chain(spec):
         count, _ = _iter_tree(spec, x, collect=False)
         return count
@@ -364,9 +360,9 @@ def count_family(spec: FamilySpec, x: int, with_model: bool = True) -> CountRepo
 # ---------------------------------------------------------------------------
 
 
-# The y-dense check runs over this many slices of the divisor CSR, cut at
-# owner boundaries, so that its temporaries stay small.
-_CHECK_SLICES = 8
+# The arrays over every n <= N that a bulk entry point builds may hold this
+# many bytes in all; the sieve refuses before any of them is built.
+_BULK_BUDGET = 1 << 30
 
 
 def _exact(a: np.ndarray, bound: int) -> np.ndarray:
@@ -382,21 +378,25 @@ def _blocks(N: int):
         lo *= 2
 
 
-def _not_y_dense(start: np.ndarray, flat: np.ndarray, py: int, qy: int, kept) -> np.ndarray:
-    """Owners n with two consecutive kept divisors d < d' and d' qy > d py.
-    kept(d, n) masks divisors d of owners n, aligned with a slice of flat."""
-    N = len(start) - 2
-    bad = np.zeros(N + 1, dtype=bool)
-    owners = np.unique(np.searchsorted(start, np.linspace(0, start[-1], _CHECK_SLICES + 1)))
-    bound = N * max(py, qy)
-    for a, b in zip(owners[:-1], owners[1:]):
-        d = flat[start[a] : start[b]]
-        n = np.repeat(np.arange(a, b, dtype=np.int32), np.diff(start[a : b + 1]))
-        k = kept(d, n)
-        d, n = _exact(d[k], bound), n[k]
-        gap = (n[1:] == n[:-1]) & (d[1:] * qy > d[:-1] * py)
-        bad[n[1:][gap]] = True
-    return bad
+def _window_width(N: int) -> int:
+    """Owners per divisor window: O(sqrt N) numpy calls build each window."""
+    return 50 * math.isqrt(N)
+
+
+def _windows(N: int):
+    """Owners 1..N a window at a time: their slice, and divisor_lists' offsets and
+    sorted divisors.  Every divisor of an owner lies in its window or an earlier one."""
+    w = _window_width(N)
+    for lo in range(1, N + 1, w):
+        hi = min(lo + w, N + 1)
+        yield (slice(lo, hi), *divisor_lists(lo, hi))
+
+
+def _not_y_dense(own, d, kept, py: int, qy: int, bound: int) -> np.ndarray:
+    """Owners with two consecutive kept divisors d < d', d' qy > d py, in one window's
+    rows (divisors d, sorted per owner, of the owners own); bound holds d py, d qy."""
+    own, d = own[kept], _exact(d[kept], bound)
+    return own[1:][(own[1:] == own[:-1]) & (d[1:] * qy > d[:-1] * py)]
 
 
 def membership_tables(N: int, y: Fraction, imax: int) -> dict:
@@ -407,15 +407,18 @@ def membership_tables(N: int, y: Fraction, imax: int) -> dict:
     Python ints.  A chain family holds n when P^+(n) passes against the
     parent m = n / P^+(n) and m is a member.  Dense(i) keeps the divisors in
     Dense(i-1); StrongDense(i) keeps, for each j, the d in S_j with n/d in
-    S_{i-1-j}, and needs n in both; one y-dense check over the divisor CSR
-    serves both.  Neither the oracle nor the chain tree is used, so the
-    tables stay an independent route.  Index 0 is 0 in smooth and in
-    dense/strongdense for i >= 1, and 1 elsewhere.
+    S_{i-1-j}, and needs n in both; one y-dense check on each window of
+    divisor rows serves both, levels 1..imax per window.  Neither the oracle
+    nor the chain tree is used, so the tables stay an independent route.
+    Index 0 is 0 in smooth and in dense/strongdense for i >= 1, and 1 elsewhere.
     """
+    if N < 1 or imax < 0:
+        raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
+    # 24 bytes per n in int32 spf, lpf, parent, n and two masks, 8 per level and its bytes
+    spf = sieve_spf(max(N, 2), _BULK_BUDGET // (24 + 8 * imax))[: N + 1].astype(np.int32)
     y = Fraction(y)
     py, qy = y.numerator, y.denominator
     n = np.arange(N + 1, dtype=np.int32)
-    spf = sieve_spf(max(N, 2))[: N + 1].astype(np.int32)
     lpf = spf.copy()  # P^+(n) = max(P^-(n), P^+(n / P^-(n)))
     for s in _blocks(N):
         np.maximum(lpf[s], lpf[n[s] // spf[s]], out=lpf[s])
@@ -432,21 +435,26 @@ def membership_tables(N: int, y: Fraction, imax: int) -> dict:
 
     smooth = lpf <= py // qy  # only the last step binds
     smooth[0] = False
-    tl, tu, dense, strong = [ones], [ones], [ones], [ones]
-    start, flat = divisor_lists(N)
+    tl, tu = [ones], [ones]
     for i in range(1, imax + 1):
         b = max((N * qy) ** i, py**i * N)  # bounds every product below
         tl.append(chain(lambda p, m: (p * qy <= py) | (p**i * qy <= py * m), b))
         tu.append(chain(lambda p, m: (p * qy) ** i <= py**i * m, b))
-        prev = dense[-1]
-        dense.append(prev & ~_not_y_dense(start, flat, py, qy, lambda d, m: prev[d]))
-        # j and i-1-j keep the mirror images d <-> n/d: y-dense or not together
-        cur = ones.copy()
-        for j in range((i + 1) // 2):
-            A, B = strong[j], strong[i - 1 - j]
-            cur &= A & B & ~_not_y_dense(start, flat, py, qy, lambda d, m: A[d] & B[m // d])
-        strong.append(cur)
-        dense[i][0] = strong[i][0] = False
+
+    dense = [ones] + [n > 0 for _ in range(imax)]
+    strong = [ones] + [n > 0 for _ in range(imax)]
+    bound = N * max(py, qy)
+    for w, start, d in _windows(N):
+        own = np.repeat(n[w], np.diff(start))  # the owner of each divisor d
+        m = own // d
+        for i in range(1, imax + 1):
+            dense[i][w] &= dense[i - 1][w]
+            dense[i][_not_y_dense(own, d, dense[i - 1][d], py, qy, bound)] = False
+            # j and i-1-j keep the mirror images d <-> n/d: y-dense or not together
+            for j in range((i + 1) // 2):
+                A, B = strong[j], strong[i - 1 - j]
+                strong[i][w] &= A[w] & B[w]
+                strong[i][_not_y_dense(own, d, A[d] & B[m], py, qy, bound)] = False
 
     levels = {"thetalower": tl, "thetaupper": tu, "dense": dense, "strongdense": strong}
     return {"smooth": bytearray(smooth.tobytes())} | {
@@ -498,22 +506,24 @@ def schinzel_szekeres(n: int | FactoredInteger, beta: Fraction | int) -> SSFValu
 def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.ndarray:
     """Mask over n = 0..N of key(F_beta(n)) * den <= num * n**e, exact.
 
-    One pass over the divisor CSR: the key of n is the row max of
-    d**qb * P^-(d)**pb (beta = pb/qb, P^-(d) = spf[d]).  The divisor d = 1
-    adds key 1, which is F_beta(1)'s and below every key of a d > 1.
-    Products are int32, int64 or Python ints, sized by the largest one
-    compared.  Entry 0 is False.
+    One pass over the divisor rows, window by window: the key of n is the
+    row max of d**qb * P^-(d)**pb (beta = pb/qb, P^-(d) = spf[d]).  The
+    divisor d = 1 adds key 1, which is F_beta(1)'s and below every key of a
+    d > 1.  Products are int32, int64 or Python ints, sized by the largest
+    one compared.  Entry 0 is False.
     """
     if N < 1:
         raise DomainError("x must be >= 1")
     beta = _beta(beta)
     pb, qb = beta.numerator, beta.denominator
-    start, flat = divisor_lists(N)
+    spf = sieve_spf(max(N, 2), _BULK_BUDGET // 9)  # 9 bytes per n: the sieve and the mask
     bound = max(N ** (qb + pb) * den, num * N**e)
-    keys = _exact(flat, bound) ** qb * _exact(sieve_spf(max(N, 2))[flat], bound) ** pb
-    top = np.maximum.reduceat(keys, start[1:-1])
-    n = _exact(np.arange(1, N + 1), bound)
-    return np.concatenate(([False], top * den <= num * n**e))
+    ok = np.zeros(N + 1, dtype=bool)
+    for w, start, d in _windows(N):
+        keys = _exact(d, bound) ** qb * _exact(spf[d], bound) ** pb
+        top = np.maximum.reduceat(keys, start[:-1])
+        ok[w] = top * den <= num * _exact(np.arange(w.start, w.stop), bound) ** e
+    return ok
 
 
 def count_A_beta(x: int, y: Fraction | int, beta: Fraction | int, squarefree: bool = False) -> int:
@@ -609,20 +619,12 @@ def check_partial_density_sum(spec: FamilySpec, N: int) -> float:
     if spec.kind not in _B_KINDS:
         raise DomainError("density sum applies to chain families")
     members = enumerate_members(spec, N)
-    tmax = max(theta_floor(spec, n) for n in members)
-    ps = primes_upto(tmax)
+    ts = [theta_floor(spec, n) for n in members]
+    ps = primes_upto(max(ts))
     parr = np.array(ps, dtype=float)
-    if spec.squarefree:
-        factors = 1.0 / (1.0 + 1.0 / parr)
-    else:
-        factors = 1.0 - 1.0 / parr
+    factors = 1.0 / (1.0 + 1.0 / parr) if spec.squarefree else 1.0 - 1.0 / parr
     prefix = np.concatenate(([1.0], np.cumprod(factors)))
-    total = 0.0
-    for n in members:
-        t = theta_floor(spec, n)
-        k = bisect_right(ps, t)
-        total += prefix[k] / n
-    return total
+    return sum(prefix[bisect_right(ps, t)] / n for n, t in zip(members, ts))
 
 
 def _ssf_identity(x: int, y: Fraction | int, beta: Fraction | int):

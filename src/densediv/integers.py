@@ -162,31 +162,28 @@ def divisors(f: FactoredInteger, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
     return divs
 
 
-def divisor_lists(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted divisors of every n <= limit in CSR form: ``flat[start[n]:start[n+1]]``,
-    with int64 ``start`` and int32 ``flat``.  Each d <= isqrt(limit) writes
-    itself at its owners d*d, d*d+d, ..., then (d falling) the cofactor n/d
-    at the owners n > d*d, through a per-owner cursor.  Refused before any
-    array is built when ``start`` and ``flat`` together pass budget * 8 bytes.
+def divisor_lists(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted divisors of every owner lo <= n < hi (lo >= 1) in CSR form:
+    those of n are ``flat[start[n - lo] : start[n - lo + 1]]``, with int64
+    ``start`` and int32 ``flat``.  Each d <= isqrt(hi - 1) writes itself at
+    its owners n >= d*d in the window, then (d falling) the cofactor n/d at
+    the owners n > d*d, through a per-owner cursor.
     """
-    r = math.isqrt(limit)
-    d = np.arange(1, r + 1, dtype=np.int64)
-    entries = int((2 * (limit // d - d) + 1).sum())  # sum of the divisor counts
-    if 8 * (limit + 2) + 4 * entries > budget * 8:
-        raise ResourceLimitError(f"divisor_lists limit {limit} exceeds budget")
-    start = np.zeros(limit + 2, dtype=np.int64)  # first the divisor count of n at n + 1
-    for d in range(1, r + 1):
-        start[d * d + 1 :: d] += 2
-        start[d * d + 1] -= 1
+    r = math.isqrt(hi - 1)
+
+    def owners(d: int, least: int) -> slice:  # window offsets of the owners n >= least
+        return slice(max(least, -(-lo // d) * d) - lo, hi - lo, d)
+
+    # d at the owners n >= d*d (d rising), then n/d at the owners n > d*d (d falling)
+    passes = [(d, d * d) for d in range(1, r + 1)] + [(d, d * (d + 1)) for d in range(r, 0, -1)]
+    start = np.zeros(hi - lo + 1, dtype=np.int64)  # first the divisor count of n at n - lo + 1
+    for d, least in passes:
+        start[1:][owners(d, least)] += 1
     np.cumsum(start, out=start)
     flat = np.empty(int(start[-1]), dtype=np.int32)
     cursor = start[:-1].copy()
-    for d in range(1, r + 1):
-        owners = np.arange(d * d, limit + 1, d)
-        flat[cursor[owners]] = d
-        cursor[owners] += 1
-    for d in range(r, 0, -1):
-        owners = np.arange(d * (d + 1), limit + 1, d)
-        flat[cursor[owners]] = owners // d
-        cursor[owners] += 1
+    for j, (d, least) in enumerate(passes):
+        k = owners(d, least)
+        flat[cursor[k]] = d if j < r else np.arange(k.start + lo, hi, d) // d
+        cursor[k] += 1
     return start, flat

@@ -111,8 +111,10 @@ def build_rho_table(
     if a < 0:
         raise DomainError("a must be >= 0")
     step = Fraction(step)
-    if step > Fraction(1, 128):
-        raise DomainError("step must be <= 1/128")
+    if not 0 < step <= Fraction(1, 128):
+        raise DomainError("step must be in (0, 1/128]")
+    if not u_max > 0:
+        raise DomainError("u_max must be > 0")
     if u_max > 500:
         raise ResourceLimitError("u_max beyond configured budget (500)")
     af = float(a)

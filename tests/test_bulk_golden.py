@@ -1,0 +1,78 @@
+"""The bulk arrays against digests stored in tests/golden/bulk_digests.json.
+
+The digests pin every membership_tables level and the Schinzel-Szekeres
+masks behind count_A_beta and check_ssf_identity, so a change to how the
+divisor rows are built or scanned cannot change a single byte unnoticed.
+Regenerate (only after an intended change of output) with
+
+    PYTHONPATH=src python tests/test_bulk_golden.py
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from densediv import families
+
+GOLDEN = Path(__file__).parent / "golden" / "bulk_digests.json"
+
+TABLE_CASES = [(10**5, Fraction(y), 4) for y in ("2", "5/2", "3", "10")]
+TABLE_CASES.append((10**4, Fraction(2), 16))
+BIG_Y = Fraction(10**17 + 3, 3 * 10**16)  # products with its numerator pass int64
+SSF_CASES = [(10**5, y, Fraction(b)) for b in ("1", "2", "7/3") for y in (Fraction(2), BIG_Y)]
+
+
+def _sha(buf) -> str:
+    return hashlib.sha256(bytes(buf)).hexdigest()
+
+
+def table_digests(N: int, y: Fraction, imax: int) -> dict:
+    t = families.membership_tables(N, y, imax)
+    out = {"smooth": _sha(t["smooth"])}
+    for kind in ("thetalower", "thetaupper", "dense", "strongdense"):
+        out |= {f"{kind}[{i}]": _sha(b) for i, b in enumerate(t[kind])}
+    return out
+
+
+def ssf_digests(x: int, y: Fraction, beta: Fraction) -> dict:
+    qb = beta.denominator
+    bound = x * y  # the count_A_beta mask: F_beta(n) <= x y
+    a_mask = families._ssf_within(x, beta, bound.numerator**qb, bound.denominator**qb, 0)
+    id_mask = families._ssf_identity(x, y, beta)[0]  # F_beta(n) <= n y^beta
+    return {"count_A_beta": _sha(np.asarray(a_mask, dtype=bool).tobytes()),
+            "ssf_identity": _sha(np.asarray(id_mask, dtype=bool).tobytes())}
+
+
+def _key(*parts) -> str:
+    return " ".join(str(p) for p in parts)
+
+
+def compute_all() -> dict:
+    return {
+        "membership_tables": {_key(N, y, imax): table_digests(N, y, imax)
+                              for N, y, imax in TABLE_CASES},
+        "ssf_within": {_key(x, y, beta): ssf_digests(x, y, beta) for x, y, beta in SSF_CASES},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("N,y,imax", TABLE_CASES, ids=lambda v: str(v))
+def test_membership_tables_digests(golden, N, y, imax):
+    assert table_digests(N, y, imax) == golden["membership_tables"][_key(N, y, imax)]
+
+
+@pytest.mark.parametrize("x,y,beta", SSF_CASES, ids=lambda v: str(v))
+def test_ssf_mask_digests(golden, x, y, beta):
+    assert ssf_digests(x, y, beta) == golden["ssf_within"][_key(x, y, beta)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(compute_all(), indent=1, sort_keys=True) + "\n")

@@ -337,6 +337,33 @@ class TestVerifyAndDeterminism:
         assert r.exit_code == 3
         assert time.monotonic() - t0 < 5.0
 
+    @pytest.mark.parametrize("args", [
+        "member --family smooth --y 2 --n 0",
+        "count --family smooth --y 2 --x 0",
+        "ratio-scan --family smooth --y 2 --x-list 0,10",
+        "verify --suite identities --xmax 0",
+        "verify --suite sandwich --nmax -5",
+        "verify --suite sandwich --nmax 0",
+        "rho-table --a -1",
+        "rho-table --a 1 --u-max -1",
+        "rho-table --a 1 --step 0",
+        "table --which lambda --i-max 0",
+        "table --which lambda --i-max -1",
+    ])
+    def test_domain_error_exit_code(self, runner, args):
+        # out-of-domain input is a usage error with a message, not a traceback
+        r = runner.invoke(main, args.split())
+        assert r.exit_code == 2, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.output
+
+    def test_bulk_budget_exit_code(self, runner):
+        # N = 5e7 passes the sieve's budget, not the membership tables'
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["verify", "--suite", "sandwich", "--nmax", "50000000"])
+        assert r.exit_code == 3
+        assert time.monotonic() - t0 < 5.0
+
     def test_verification_failure_exit_code(self, runner, monkeypatch):
         from densediv import cli as cli_mod
 

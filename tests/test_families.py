@@ -198,6 +198,82 @@ class TestMembershipTables:
         _tables_match_definitions(1500, Fraction(10**17 + 3, 3 * 10**16))
 
 
+def _bulk_arrays(N):
+    """Every table and two Schinzel-Szekeres masks at N, as bytes."""
+    out = []
+    for y in (Fraction(2), Fraction(5, 2), Fraction(10**17 + 3, 3 * 10**16)):
+        t = families.membership_tables(N, y, 4)
+        out += [t["smooth"]] + [b for k in ("thetalower", "thetaupper", "dense", "strongdense")
+                                for b in t[k]]
+    for beta, num, den, e in ((1, 2, 1, 1), (Fraction(7, 3), 3**7, 2**7, 3)):
+        out.append(families._ssf_within(N, beta, num, den, e).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_window_width_leaves_bulk_arrays_unchanged(monkeypatch, width):
+    # seams after every owner, inside the rows of small n, and at one window
+    # per 64 owners: the scans read each owner's row whole in one window
+    N = 700
+    default = _bulk_arrays(N)
+    monkeypatch.setattr(families, "_window_width", lambda N: width)
+    assert _bulk_arrays(N) == default
+
+
+def test_ssf_within_memory_per_n():
+    # tracemalloc sees numpy buffers: the divisor rows of one window, not of
+    # every n <= N, are alive at once
+    import tracemalloc
+
+    N = 2 * 10**5
+    tracemalloc.start()
+    try:
+        families._ssf_within(N, 1, 2, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * N, peak / N
+
+
+def test_bulk_budget(monkeypatch):
+    # membership_tables holds 24 + 8 imax bytes per n, _ssf_within 9
+    for imax in (0, 2):
+        monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * (24 + 8 * imax))
+        assert len(families.membership_tables(1000, Y2, imax)["smooth"]) == 1001
+        with pytest.raises(ResourceLimitError):
+            families.membership_tables(1001, Y2, imax)
+    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * 9)
+    assert len(families._ssf_within(1000, 1, 2, 1, 1)) == 1001
+    with pytest.raises(ResourceLimitError):
+        families._ssf_within(1001, 1, 2, 1, 1)
+
+
+def test_bulk_budget_refuses_before_allocating(monkeypatch):
+    import numpy as np
+
+    from densediv import integers
+
+    class NoArrays:
+        def __getattr__(self, name):
+            if name in ("zeros", "empty", "ones", "arange", "cumsum"):
+                raise AssertionError(f"np.{name} called before the budget check")
+            return getattr(np, name)
+
+    monkeypatch.setattr(families, "np", NoArrays())
+    monkeypatch.setattr(integers, "np", NoArrays())
+    # the first N past 1 GiB at imax = 4 (56 bytes per n) and at 9 bytes per n;
+    # both are inside the sieve's own budget
+    for call in (lambda: families.membership_tables((1 << 30) // 56, Y2, 4),
+                 lambda: families._ssf_within((1 << 30) // 9, 1, 2, 1, 1)):
+        with pytest.raises(ResourceLimitError):
+            call()
+    for call in (lambda: families.membership_tables(0, Y2, 4),
+                 lambda: families.membership_tables(10, Y2, -1),
+                 lambda: families._ssf_within(0, 1, 2, 1, 1)):
+        with pytest.raises(DomainError):
+            call()
+
+
 class TestOracleCache:
     def test_bounded_lru_over_y(self):
         for k in range(20):

@@ -114,36 +114,24 @@ class TestDivisors:
 
 
 def test_divisor_lists_consistent():
-    start, flat = divisor_lists(500)
+    start, flat = divisor_lists(1, 501)
     assert start.dtype == np.int64 and flat.dtype == np.int32
-    assert start[0] == start[1] == 0 and start[-1] == len(flat)
+    assert start[0] == 0 and start[-1] == len(flat) and len(start) == 501
     for n in range(1, 501):
-        assert flat[start[n] : start[n + 1]].tolist() == divisors(factorize(n)), n
+        assert flat[start[n - 1] : start[n]].tolist() == divisors(factorize(n)), n
 
 
-def test_divisor_lists_budget():
-    # n <= 1000 have 7069 divisors in all: 8 * 1002 + 4 * 7069 = 36292 bytes,
-    # which budget 4537 (36296 bytes) holds and 4536 does not
-    assert len(divisor_lists(1000, budget=4537)[1]) == 7069
-    with pytest.raises(ResourceLimitError):
-        divisor_lists(1000, budget=4536)
-    with pytest.raises(ResourceLimitError):
-        divisor_lists(1001, budget=4537)
-
-
-def test_divisor_lists_refuses_before_allocating(monkeypatch):
-    import densediv.integers as integers
-
-    class NoArrays:
-        def __getattr__(self, name):
-            if name in ("zeros", "empty", "cumsum"):
-                raise AssertionError(f"np.{name} called before the budget check")
-            return getattr(np, name)
-
-    monkeypatch.setattr(integers, "np", NoArrays())
-    # 16 MiB holds 16 bytes per n <= 1e6 but not the 64 MB of its divisors
-    with pytest.raises(ResourceLimitError):
-        integers.divisor_lists(10**6, budget=1 << 21)
+@given(st.integers(1, 4999), st.one_of(st.integers(1, 70), st.integers(1, 5000)))
+@settings(max_examples=60, deadline=None)
+def test_divisor_lists_window_rows(spf_1e4, lo, width):
+    # widths up to 70 are narrower than sqrt(hi) for most hi <= 5000, so a
+    # divisor d <= sqrt(n) often has no owner in the window at all
+    hi = min(lo + width, 5000)
+    start, flat = divisor_lists(lo, hi)
+    assert len(start) == hi - lo + 1 and start[-1] == len(flat)
+    for n in range(lo, hi):
+        row = flat[start[n - lo] : start[n - lo + 1]]
+        assert row.tolist() == divisors(factorize(n, spf_1e4)), n
 
 
 def test_primes_upto():
