@@ -197,13 +197,14 @@ def question_scan(i_, y_, m_max, p_max):
     from .families import FamilyOracle
     from .integers import factorize, primes_upto
 
-    orc = FamilyOracle(y_)
+    spec = _guard(FamilySpec, "strongdense", y_, i=i_)
+    orc = FamilyOracle(spec.y)
     primes = primes_upto(p_max)
     findings = []
     for m in range(1, m_max + 1):
         pp = factorize(m).p_plus
         allowed = [p for p in primes if p >= pp]
-        in_flags = [(p, orc.strong(m * p, i_)) for p in allowed]
+        in_flags = [(p, orc.member(spec.kind, m * p, spec.i)) for p in allowed]
         seen_out = None
         for p, flag in in_flags:
             if not flag and seen_out is None:
@@ -238,26 +239,32 @@ def ratio_scan(family, y_, i_, a_, squarefree, x_list, fmt):
 # ---------------------------------------------------------------------------
 
 
+def _sandwich_links(t: dict, imax: int) -> tuple[int, bool, bool]:
+    """The (i, n), n >= 1, where a sandwich link fails; whether each Dense and
+    StrongDense level nests in the one below; whether Dense == StrongDense for
+    i <= 2.  Reads views of the tables, and drops them on return."""
+    sm = np.frombuffer(t["smooth"], dtype=np.uint8)[1:]
+    tl, tu, de, st = ([np.frombuffer(b, dtype=np.uint8)[1:] for b in t[kind]]
+                      for kind in ("thetalower", "thetaupper", "dense", "strongdense"))
+    bad, nest, eq12 = 0, True, True
+    for i in range(1, imax + 1):
+        # an (i, n) counts once however many links fail at it
+        fails = (sm > tl[i]) | (tl[i] > st[i]) | (st[i] > de[i]) | (de[i] > tu[i])
+        bad += int(np.count_nonzero(fails))
+        nest &= not ((de[i] > de[i - 1]).any() or (st[i] > st[i - 1]).any())
+        eq12 &= i > 2 or np.array_equal(de[i], st[i])
+    return bad, nest, eq12
+
+
 def _suite_sandwich(nmax: int) -> list[dict]:
     results = []
-    ys = [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(10)]
     imax = 4
-    for y in ys:
-        t = families.membership_tables(nmax, y, imax)
-
-        def levels(kind):  # rows i = 0..imax over n = 1..nmax
-            return np.array([np.frombuffer(b, dtype=np.uint8)[1:] for b in t[kind]], dtype=bool)
-
-        sm = np.frombuffer(t["smooth"], dtype=np.uint8)[1:].astype(bool)
-        tl, tu, de, st = (levels(k) for k in ("thetalower", "thetaupper", "dense", "strongdense"))
-        # an (i, n) counts once however many links fail at it
-        fails = (sm > tl[1:]) | (tl[1:] > st[1:]) | (st[1:] > de[1:]) | (de[1:] > tu[1:])
-        bad = int(np.count_nonzero(fails))
+    for y in (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(10)):
+        # one y's tables at a time: they are freed before the next are built
+        bad, nest, eq12 = _sandwich_links(families.membership_tables(nmax, y, imax), imax)
         results.append({"name": f"sandwich chain y={y}", "passed": bad == 0,
                         "detail": f"violations={bad} over n<={nmax}, i<={imax}"})
-        nest = not (de[1:] > de[:-1]).any() and not (st[1:] > st[:-1]).any()
         results.append({"name": f"nesting y={y}", "passed": nest, "detail": ""})
-        eq12 = np.array_equal(de[1:3], st[1:3])
         results.append({"name": f"dense==strong for i<=2, y={y}", "passed": eq12, "detail": ""})
     return results
 

@@ -154,6 +154,19 @@ def _chain_member(spec: FamilySpec, f: FactoredInteger) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _keep_pairs(kind: str, i: int) -> list[tuple[int, int]]:
+    """The keep pairs (j, k), j + k = i - 1, of Dense(i) or StrongDense(i).
+
+    n is in the level iff, for each pair, the divisors d with d in level j
+    and n/d in level k run from 1 to n with no ratio above y.  Dense(i) keeps
+    (i - 1, 0); StrongDense(i) keeps every pair, but (j, k) and (k, j) keep
+    the mirror images d <-> n/d, y-dense together, so j <= k is enough.
+    """
+    if kind == "dense":
+        return [(i - 1, 0)]
+    return [(j, i - 1 - j) for j in range((i + 1) // 2)]
+
+
 class FamilyOracle:
     """Memoized Dense/StrongDense membership for one y.
 
@@ -175,56 +188,29 @@ class FamilyOracle:
             self._divs[n] = d
         return d
 
-    def dense(self, n: int, i: int) -> bool:
+    def member(self, kind: str, n: int, i: int) -> bool:
+        """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of level i."""
         if i <= 0 or n == 1:
             return True
+        memo = self._dense if kind == "dense" else self._strong
         key = (i, n)
-        hit = self._dense.get(key)
-        if hit is not None:
-            return hit
-        ok = self.dense(n, i - 1)
-        if ok:
-            py, qy = self.py, self.qy
+        ok = memo.get(key)
+        if ok is not None:
+            return ok
+        ok, py, qy, member = True, self.py, self.qy, self.member
+        for j, k in _keep_pairs(kind, i):
+            # the kept divisors start at 1 (n in level k) and end at n (n in level j)
+            ok = member(kind, n, k) and member(kind, n, j)
             last = 1
-            for d in self._divisors(n):
-                if self.dense(d, i - 1):
+            for d in self._divisors(n) if ok else ():
+                if (j == 0 or member(kind, d, j)) and (k == 0 or member(kind, n // d, k)):
                     if d * qy > last * py:
                         ok = False
                         break
                     last = d
-            # the filtered list always ends at n here since n is D_{i-1}
-        self._dense[key] = ok
-        return ok
-
-    def strong(self, n: int, i: int) -> bool:
-        if i <= 0 or n == 1:
-            return True
-        key = (i, n)
-        hit = self._strong.get(key)
-        if hit is not None:
-            return hit
-        py, qy = self.py, self.qy
-        divs = self._divisors(n)
-        nn = len(divs)
-        ok = True
-        for j in range(i):
-            # sequence {d : d in D*_j, n/d in D*_{i-1-j}} must contain 1
-            # (i.e. n in D*_{i-1-j}) and n (i.e. n in D*_j), and be y-dense
-            if not self.strong(n, i - 1 - j):
-                ok = False
+            if not ok:
                 break
-            last = 0
-            for k in range(nn):
-                d = divs[k]
-                if self.strong(d, j) and self.strong(divs[nn - 1 - k], i - 1 - j):
-                    if last and d * qy > last * py:
-                        last = 0
-                        break
-                    last = d
-            if last != n:
-                ok = False
-                break
-        self._strong[key] = ok
+        memo[key] = ok
         return ok
 
 
@@ -250,10 +236,7 @@ def is_member(n: int | FactoredInteger, spec: FamilySpec) -> bool:
         return False
     if spec.kind in _B_KINDS:
         return _chain_member(spec, f)
-    orc = _oracle(spec.y)
-    if spec.kind == "dense":
-        return orc.dense(f.n, spec.i)
-    return orc.strong(f.n, spec.i)
+    return _oracle(spec.y).member(spec.kind, f.n, spec.i)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +303,7 @@ def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
         FamilySpec("thetaupper", spec.y, i=spec.i, squarefree=spec.squarefree), x
     )
     orc = _oracle(spec.y)
-    test = orc.dense if spec.kind == "dense" else orc.strong
-    return [n for n in superset if test(n, spec.i)]
+    return [n for n in superset if orc.member(spec.kind, n, spec.i)]
 
 
 def count_members(spec: FamilySpec, x: int) -> int:
@@ -405,11 +387,12 @@ def membership_tables(N: int, y: Fraction, imax: int) -> dict:
 
     Array recurrences over every n <= N, compared exactly in int32, int64 or
     Python ints.  A chain family holds n when P^+(n) passes against the
-    parent m = n / P^+(n) and m is a member.  Dense(i) keeps the divisors in
-    Dense(i-1); StrongDense(i) keeps, for each j, the d in S_j with n/d in
-    S_{i-1-j}, and needs n in both; one y-dense check on each window of
-    divisor rows serves both, levels 1..imax per window.  Neither the oracle
-    nor the chain tree is used, so the tables stay an independent route.
+    parent m = n / P^+(n) and m is a member.  Dense(i) and StrongDense(i)
+    hold n when, for each keep pair (j, k) of level i, n is in levels j and k
+    and the d in level j with n/d in level k are y-dense; one y-dense check
+    on each window of divisor rows serves both, levels 1..imax per window.
+    Neither the oracle nor the chain tree is used, so the tables stay an
+    independent route.
     Index 0 is 0 in smooth and in dense/strongdense for i >= 1, and 1 elsewhere.
     """
     if N < 1 or imax < 0:
@@ -447,14 +430,12 @@ def membership_tables(N: int, y: Fraction, imax: int) -> dict:
     for w, start, d in _windows(N):
         own = np.repeat(n[w], np.diff(start))  # the owner of each divisor d
         m = own // d
-        for i in range(1, imax + 1):
-            dense[i][w] &= dense[i - 1][w]
-            dense[i][_not_y_dense(own, d, dense[i - 1][d], py, qy, bound)] = False
-            # j and i-1-j keep the mirror images d <-> n/d: y-dense or not together
-            for j in range((i + 1) // 2):
-                A, B = strong[j], strong[i - 1 - j]
-                strong[i][w] &= A[w] & B[w]
-                strong[i][_not_y_dense(own, d, A[d] & B[m], py, qy, bound)] = False
+        for kind, L in (("dense", dense), ("strongdense", strong)):
+            for i in range(1, imax + 1):
+                for j, k in _keep_pairs(kind, i):
+                    L[i][w] &= L[j][w] & L[k][w]
+                    kept = L[j][d] if k == 0 else L[j][d] & L[k][m]
+                    L[i][_not_y_dense(own, d, kept, py, qy, bound)] = False
 
     levels = {"thetalower": tl, "thetaupper": tu, "dense": dense, "strongdense": strong}
     return {"smooth": bytearray(smooth.tobytes())} | {

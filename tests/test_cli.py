@@ -349,6 +349,8 @@ class TestVerifyAndDeterminism:
         "rho-table --a 1 --step 0",
         "table --which lambda --i-max 0",
         "table --which lambda --i-max -1",
+        "question-scan --i 0 --y 2",
+        "question-scan --i 2 --y 1",
     ])
     def test_domain_error_exit_code(self, runner, args):
         # out-of-domain input is a usage error with a message, not a traceback

@@ -22,7 +22,7 @@ from densediv.families import (
 )
 from densediv.integers import factorize
 
-from _shared import tables_at
+from _shared import DefinitionReference, tables_at
 
 Y2 = Fraction(2)
 
@@ -94,19 +94,30 @@ class TestMembership:
         assert is_member(65520, FamilySpec("dense", Y2, i=4))
         assert not is_member(65520, FamilySpec("strongdense", Y2, i=4))
 
+    def test_definition_at_counterexamples(self):
+        # the definition reference, every keep pair checked, parts the two
+        # families where the oracle does
+        ref = DefinitionReference(Y2)
+        for n, i in ((8424, 3), (65520, 4)):
+            assert ref.member("dense", n, i) and not ref.member("strongdense", n, i)
+
     def test_squarefree_flag(self):
         assert not is_member(4, FamilySpec("smooth", Y2, squarefree=True))
         assert is_member(6, FamilySpec("dense", Y2, i=1, squarefree=True))
 
     def test_oracle_agrees_with_tables(self):
+        # and both with the definition, which checks every keep pair
         N = 2000
         for y in (Y2, Fraction(5, 2)):
             t = tables_at(N, y)
             orc = FamilyOracle(y)
+            ref = DefinitionReference(y)
             for n in range(1, N + 1, 7):
                 for i in (1, 2, 3, 4):
-                    assert orc.dense(n, i) == bool(t["dense"][i][n]), (n, i, y)
-                    assert orc.strong(n, i) == bool(t["strongdense"][i][n]), (n, i, y)
+                    for kind in ("dense", "strongdense"):
+                        got = orc.member(kind, n, i)
+                        assert got == bool(t[kind][i][n]), (kind, n, i, y)
+                        assert got == ref.member(kind, n, i), (kind, n, i, y)
 
 
 class TestSandwichSmall:
@@ -167,17 +178,19 @@ class TestSandwichSmall:
 
 
 def _tables_match_definitions(N, y, imax=4):
-    """Every n <= N: dense/strongdense tables against a fresh oracle, chain
-    tables against is_member."""
+    """Every n <= N: dense/strongdense tables against a fresh oracle and the
+    definition reference, chain tables against is_member."""
     from densediv.families import membership_tables
 
     t = membership_tables(N, y, imax)
     orc = FamilyOracle(y)
+    ref = DefinitionReference(y)
     for n in range(1, N + 1):
         assert bool(t["smooth"][n]) == is_member(n, FamilySpec("smooth", y)), n
         for i in range(1, imax + 1):
-            assert bool(t["dense"][i][n]) == orc.dense(n, i), (n, i)
-            assert bool(t["strongdense"][i][n]) == orc.strong(n, i), (n, i)
+            for kind in ("dense", "strongdense"):
+                assert bool(t[kind][i][n]) == orc.member(kind, n, i), (kind, n, i)
+                assert bool(t[kind][i][n]) == ref.member(kind, n, i), (kind, n, i)
             for kind in ("thetalower", "thetaupper"):
                 assert bool(t[kind][i][n]) == is_member(n, FamilySpec(kind, y, i=i)), (kind, n, i)
 
@@ -297,7 +310,7 @@ class TestEnumerationConsistency:
                 fast = enumerate_members(FamilySpec("dense", y, i=2, squarefree=sf), x)
                 slow = [
                     n for n in range(1, x + 1)
-                    if orc.dense(n, 2) and (not sf or factorize(n).is_squarefree)
+                    if orc.member("dense", n, 2) and (not sf or factorize(n).is_squarefree)
                 ]
                 assert fast == slow, (y, sf, x)
 
@@ -308,8 +321,27 @@ class TestEnumerationConsistency:
         x = 100_000
         orc = FamilyOracle(y)
         superset = enumerate_members(FamilySpec("thetaupper", y, i=2), x)
-        filtered = sum(1 for n in superset if orc.dense(n, 2))
+        filtered = sum(1 for n in superset if orc.member("dense", n, 2))
         assert count_members(FamilySpec("dense", y, i=2), x) == filtered
+
+    @pytest.mark.parametrize("y", [Y2, Fraction(5, 2), Fraction(10)])
+    def test_superset_filter_counts_match_tables(self, y):
+        # count_members for i >= 3 filters the ThetaUpper(i) superset with the
+        # oracle; the bulk tables cover every n <= x by the other route
+        import numpy as np
+
+        x = 100_000
+        t = tables_at(x, y)
+        sf = np.ones(x + 1, dtype=bool)
+        for p in range(2, math.isqrt(x) + 1):
+            sf[p * p :: p * p] = False
+        for kind in ("dense", "strongdense"):
+            for i in (3, 4):
+                level = np.frombuffer(bytes(t[kind][i]), dtype=bool)
+                for squarefree in (False, True):
+                    expect = int(np.count_nonzero(level & sf if squarefree else level))
+                    got = count_members(FamilySpec(kind, y, i=i, squarefree=squarefree), x)
+                    assert got == expect, (kind, i, squarefree)
 
     @given(
         st.fractions(min_value=1, max_value=20, max_denominator=12).filter(lambda y: y > 1),
@@ -318,7 +350,7 @@ class TestEnumerationConsistency:
     @settings(max_examples=25, deadline=None)
     def test_dense2_count_matches_oracle(self, y, x):
         orc = FamilyOracle(y)
-        expect = sum(1 for n in range(1, x + 1) if orc.dense(n, 2))
+        expect = sum(1 for n in range(1, x + 1) if orc.member("dense", n, 2))
         assert count_members(FamilySpec("dense", y, i=2), x) == expect
 
     def test_node_budget(self):
