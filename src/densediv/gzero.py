@@ -348,10 +348,12 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     bounds the error only for |s| <= 14: the rounding of u^s, of the
     incomplete gammas and of 1/Gamma(s) grows like |s| eps, and further left
     the error exceeds the noise by up to 6.5x.  The callers re-evaluate in
-    high precision below 50x (find_lambda) and 1e4x (residue_C) the noise,
-    which covers that factor.  Where the noise is comparable to the value the
-    float value means nothing: at a = 1, s = -31.863 it is 5e18 against a
-    true -3e16.
+    high precision below 50x (find_lambda) and 1e4x (residue_C's contour)
+    the noise, and residue_C's complex-step derivative falls back to high
+    precision once its noise exceeds 1/100 of the rtol it is checked to;
+    each margin covers that factor.  Where the noise is comparable to the
+    value the float value means nothing: at a = 1, s = -31.863 it is 5e18
+    against a true -3e16.
     """
     sc = complex(s)
     af = float(a)
@@ -586,18 +588,38 @@ def _with_residue(cert: ZeroCertificate, dps: int) -> ZeroCertificate:
     )
 
 
+def _complex_step_derivative(a: Fraction, x: float) -> tuple[float, float]:
+    """(g_a'(x), noise) for real x: Im g_a(x + ih)/h on the float series
+    route, Richardson-extrapolated over h in {1e-2, 5e-3}."""
+    d, e = [], []
+    for h in (1e-2, 5e-3):
+        v, noise = _g_series_float(a, complex(x, h))
+        d.append(v.imag / h)
+        e.append(noise / h)
+    return (4 * d[1] - d[0]) / 3, (4 * e[1] + e[0]) / 3
+
+
 def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> float:
-    """C_a = 1/g_a'(-lambda_a), by Richardson central differences and by a
-    circular contour quadrature of 1/g_a; the two must agree to rtol."""
+    """C_a = 1/g_a'(-lambda_a), from a circular contour quadrature of 1/g_a,
+    checked against the derivative; the two must agree to rtol.
+
+    The derivative is a complex step on the float series route: g_a is real
+    on the real axis, so Im g_a(x + ih)/h = g_a'(x) - h^2 g_a'''(x)/6 + ...
+    with no cancellation, and Richardson over h in {1e-2, 5e-3} removes the
+    h^2 term.  Where its noise is above rtol/100 of the derivative, the check
+    falls back to Richardson central differences in high precision.
+    """
     a = Fraction(a)
+    deriv, err = _complex_step_derivative(a, -lam)
+    if err > rtol / 100 * abs(deriv):
 
-    def gr(x: float) -> float:
-        return _g_exact_or_series(a, complex(x, 0.0), dps).real
+        def gr(x: float) -> float:
+            return _g_exact_or_series(a, complex(x, 0.0), dps).real
 
-    h = 1e-5
-    d1 = (gr(-lam + h) - gr(-lam - h)) / (2 * h)
-    d2 = (gr(-lam + h / 2) - gr(-lam - h / 2)) / h
-    deriv = (4 * d2 - d1) / 3
+        h = 1e-5
+        d1 = (gr(-lam + h) - gr(-lam - h)) / (2 * h)
+        d2 = (gr(-lam + h / 2) - gr(-lam - h / 2)) / h
+        deriv = (4 * d2 - d1) / 3
     c_diff = 1.0 / deriv
 
     r = 0.4
@@ -637,23 +659,31 @@ def count_zeros_rect(
     """Number of zeros of g_a inside rect = (x0, x1, y0, y1), by the winding
     number of g_a around the boundary with adaptive phase tracking.
 
-    If some boundary sample has |g| < min_mod the rectangle is perturbed
-    slightly and the count retried; persistent failure raises.
+    If some boundary sample has |g| < min_mod, the rectangle is shrunk and
+    enlarged by the same small margin and both are counted: the count stands
+    only if they agree, since a zero on the boundary lies between them.
+    Disagreement, or persistent failure, raises BoundaryZeroError.
     """
     x0, x1, y0, y1 = map(float, rect)
     if not (x0 < x1 and y0 < y1):
         raise DomainError("rect must satisfy x0 < x1, y0 < y1")
     for attempt in range(max_retries + 1):
+        eps = 1e-3 * attempt * min(x1 - x0, y1 - y0)
         try:
-            return _winding_count(a, x0, x1, y0, y1, n0, min_mod)
+            if attempt == 0:
+                return _winding_count(a, x0, x1, y0, y1, n0, min_mod)
+            inner = _winding_count(a, x0 + eps, x1 - eps, y0 + eps, y1 - eps, n0, min_mod)
+            outer = _winding_count(a, x0 - eps, x1 + eps, y0 - eps, y1 + eps, n0, min_mod)
         except BoundaryZeroError:
             if attempt == max_retries:
                 raise
-            eps = 1e-3 * (attempt + 1) * max(x1 - x0, y1 - y0)
-            x0 -= eps
-            x1 += eps
-            y0 -= eps
-            y1 += eps
+            continue
+        if inner != outer:
+            raise BoundaryZeroError(
+                f"rect {rect} has a zero on its boundary: {inner} zeros inside "
+                f"and {outer} when enlarged by {eps:g}"
+            )
+        return inner
     raise BoundaryZeroError("unreachable")
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +90,21 @@ def _interp_cubic(us: np.ndarray, vals: np.ndarray, h: float, x: np.ndarray) -> 
     return L0 * f0 + L1 * f1 + L2 * f2 + L3 * f3
 
 
+def _grid(a, u_max: float, step) -> tuple[Fraction, Fraction, int]:
+    """Checked (a, step, n) for the grid u_j = j*step, j = 0..n, covering u_max."""
+    a = Fraction(a).limit_denominator(10**12) if isinstance(a, float) else Fraction(a)
+    if a < 0:
+        raise DomainError("a must be >= 0")
+    step = Fraction(step)
+    if not 0 < step <= Fraction(1, 128):
+        raise DomainError("step must be in (0, 1/128]")
+    if not u_max > 0:
+        raise DomainError("u_max must be > 0")
+    if u_max > 500:
+        raise ResourceLimitError("u_max beyond configured budget (500)")
+    return a, step, int(math.ceil(u_max / float(step) - 1e-9))
+
+
 def build_rho_table(
     a: Fraction | int | float,
     u_max: float = DEFAULT_U_MAX,
@@ -107,24 +122,24 @@ def build_rho_table(
     depend on earlier rows alone: each such block is evaluated in a few
     numpy passes of whole rows, about _PASS_NODES Simpson nodes per pass.
     """
-    a = Fraction(a).limit_denominator(10**12) if isinstance(a, float) else Fraction(a)
-    if a < 0:
-        raise DomainError("a must be >= 0")
-    step = Fraction(step)
-    if not 0 < step <= Fraction(1, 128):
-        raise DomainError("step must be in (0, 1/128]")
-    if not u_max > 0:
-        raise DomainError("u_max must be > 0")
-    if u_max > 500:
-        raise ResourceLimitError("u_max beyond configured budget (500)")
+    a, step, n = _grid(a, u_max, step)
+    return _extend(a, step, n, np.ones(0))
+
+
+def _extend(a: Fraction, step: Fraction, n: int, head: np.ndarray) -> RhoTable:
+    """The table to row n from its first len(head) rows, computing the rest.
+
+    A row's value does not depend on where its block starts, so this equals
+    a fresh build bit for bit.
+    """
     af = float(a)
     h = float(step)
-    n = int(math.ceil(u_max / h - 1e-9))
     us = h * np.arange(n + 1)
     vals = np.ones(n + 1)
+    vals[: len(head)] = head
 
     block = math.floor(1 / step) - 3
-    first = int(np.searchsorted(us, 1.0 + 1e-15, side="right"))
+    first = max(len(head), int(np.searchsorted(us, 1.0 + 1e-15, side="right")))
     for r0 in range(first, n + 1, block):
         u = us[r0 : r0 + block]
         row, lo, hi, nsub = _panels(u, af, h)
@@ -194,10 +209,46 @@ def _row_integrals(u, row, lo, hi, nsub, us, vals, h, af) -> np.ndarray:
     return np.bincount(row, weights=panel, minlength=len(u))
 
 
-@lru_cache(maxsize=64)
-def cached_rho_table(a: Fraction, u_max: float = 30.0, step: Fraction = DEFAULT_STEP) -> RhoTable:
-    """Process-wide cache of tables keyed by exact parameters."""
-    return build_rho_table(a, u_max=u_max, step=step)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _RhoCache:
+    """Process-wide cache of rho_a tables: one table per (a, step), at most
+    ``maxsize`` keys (least recently used dropped first), extended row by
+    row when a call needs a larger u_max.  A call returns what
+    build_rho_table(a, u_max, step) returns, as the leading rows of the
+    cached table: row u depends only on the rows before it, never on where
+    the table ends."""
+
+    def __init__(self, maxsize: int = 8):
+        self._store: OrderedDict = OrderedDict()
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+
+    def __call__(self, a, u_max: float = 30.0, step=DEFAULT_STEP) -> RhoTable:
+        a, step, n = _grid(a, u_max, step)
+        key = (a, step)
+        t = self._store.get(key)
+        if t is not None and len(t.us) > n:
+            self.hits += 1
+        else:
+            self.misses += 1
+            t = build_rho_table(a, u_max, step) if t is None else _extend(a, step, n, t.values)
+        self._store[key] = t
+        self._store.move_to_end(key)
+        while len(self._store) > self.maxsize:
+            self._store.popitem(last=False)
+        if len(t.us) == n + 1:
+            return t
+        return RhoTable(a=a, step=step, us=t.us[: n + 1], values=t.values[: n + 1], accuracy=t.accuracy)
+
+    def cache_info(self) -> _CacheInfo:
+        """Hits, misses (builds and extensions), maxsize and current size,
+        as lru_cache reports them."""
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._store))
+
+
+cached_rho_table = _RhoCache()
 
 
 def rho_closed_form_12(a: Fraction | float, u: float) -> float:

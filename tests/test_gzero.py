@@ -9,7 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from densediv._constants import EULER_GAMMA, EXP_NEG_GAMMA
-from densediv.errors import DomainError, NumericalConsistencyError, SearchFailureError
+from densediv.errors import (
+    BoundaryZeroError,
+    DomainError,
+    NumericalConsistencyError,
+    SearchFailureError,
+)
 from densediv import gzero, specfun
 from densediv.gzero import (
     count_zeros_rect,
@@ -311,6 +316,86 @@ class TestResidue:
         again = residue_C(Fraction(1, 2), cert.lam)
         assert again == pytest.approx(cert.C, rel=1e-9)
 
+    @staticmethod
+    def _dps(a):
+        return max(40, int(20 + 1.4 / float(a)))
+
+    @staticmethod
+    def _mp_derivative(a, lam, dps):
+        # Richardson central differences of the high-precision series route
+        def gr(x):
+            return gzero._g_exact_or_series(a, complex(x, 0.0), dps).real
+
+        h = 1e-5
+        d1 = (gr(-lam + h) - gr(-lam - h)) / (2 * h)
+        d2 = (gr(-lam + h / 2) - gr(-lam - h / 2)) / h
+        return (4 * d2 - d1) / 3
+
+    @staticmethod
+    def _count_mp_calls(monkeypatch):
+        calls = []
+        orig = gzero.g_eval_series
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(gzero, "g_eval_series", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "a", [Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 7), Fraction(1, 10), Fraction(1, 14)]
+    )
+    def test_complex_step_matches_mp_differences(self, a):
+        lam = find_lambda(a).lam
+        deriv, err = gzero._complex_step_derivative(a, -lam)
+        assert err <= 1e-8 * abs(deriv)  # below the fallback margin
+        ref = self._mp_derivative(a, lam, self._dps(a))
+        assert deriv == pytest.approx(ref, rel=1e-7)
+
+    def test_fallback_past_the_noise_margin(self, monkeypatch):
+        # at a = 1/20 the float noise is above rtol/100: the mp differences run
+        a = Fraction(1, 20)
+        cert = find_lambda(a)
+        calls = self._count_mp_calls(monkeypatch)
+        assert residue_C(a, cert.lam, dps=self._dps(a)) == cert.C
+        assert len(calls) == 4
+
+    def test_no_mp_evaluation_below_the_margin(self, monkeypatch):
+        a = Fraction(1, 2)
+        cert = find_lambda(a)
+        calls = self._count_mp_calls(monkeypatch)
+        assert residue_C(a, cert.lam, dps=self._dps(a)) == cert.C
+        assert calls == []
+
+    def test_forced_fallback_keeps_C(self, monkeypatch):
+        a = Fraction(1, 2)
+        cert = find_lambda(a)
+        orig = gzero._g_series_float
+
+        def noisy(a_, s):
+            v, noise = orig(a_, s)
+            return (v, 1e6 * noise) if s.imag in (1e-2, 5e-3) else (v, noise)
+
+        monkeypatch.setattr(gzero, "_g_series_float", noisy)
+        calls = self._count_mp_calls(monkeypatch)
+        assert residue_C(a, cert.lam, dps=self._dps(a)) == cert.C
+        assert len(calls) == 4
+
+    def test_disagreement_raises(self, monkeypatch):
+        # a 0.1% error in the complex-step samples alone must be caught
+        a = Fraction(1, 2)
+        cert = find_lambda(a)
+        orig = gzero._g_series_float
+
+        def skewed(a_, s):
+            v, noise = orig(a_, s)
+            return (1.001 * v, noise) if s.imag in (1e-2, 5e-3) else (v, noise)
+
+        monkeypatch.setattr(gzero, "_g_series_float", skewed)
+        with pytest.raises(NumericalConsistencyError, match="residue routes disagree"):
+            residue_C(a, cert.lam, dps=self._dps(a))
+
 
 class TestHBound:
     def test_decreasing_in_sigma(self):
@@ -361,6 +446,14 @@ class TestWinding:
     def test_bad_rect(self):
         with pytest.raises(DomainError):
             count_zeros_rect(1, (0.0, -1.0, 0.0, 1.0))
+
+    def test_zero_on_boundary_raises(self):
+        # -lambda_1 = -1 lies on the left edge: shrunk, the rectangle holds
+        # no zero, enlarged it holds one, so no count is returned
+        assert count_zeros_rect(1, (-0.999, 0.0, -0.5, 0.5)) == 0
+        assert count_zeros_rect(1, (-1.001, 0.0, -0.5, 0.5)) == 1
+        with pytest.raises(BoundaryZeroError, match=r"\(-1\.0, 0\.0, -0\.5, 0\.5\)"):
+            count_zeros_rect(1, (-1.0, 0.0, -0.5, 0.5))
 
     def test_unresolved_phase_raises(self, monkeypatch):
         # modulus 1 everywhere, phase jumping by pi at Re s = -1/3 on the
