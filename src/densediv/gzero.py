@@ -732,25 +732,31 @@ def locate_zero_in_rect(
     resolution: float = 0.005,
 ) -> complex:
     """Bisect a rectangle certified (by winding) to hold exactly one zero
-    until both sides are below ``resolution``; returns the center."""
+    until both sides are below ``resolution``; returns the center.
+
+    A split through the zero (the real axis for a real zero, say) makes
+    count_zeros_rect raise BoundaryZeroError; the split then moves to 0.4,
+    then 0.6, of the side."""
     x0, x1, y0, y1 = map(float, rect)
     if count_zeros_rect(a, (x0, x1, y0, y1)) != 1:
         raise DomainError("rectangle must contain exactly one zero")
     for _ in range(80):
         if (x1 - x0) <= resolution and (y1 - y0) <= resolution:
             break
-        if (x1 - x0) >= (y1 - y0):
-            xm = 0.5 * (x0 + x1)
-            if count_zeros_rect(a, (x0, xm, y0, y1), n0=24) == 1:
-                x1 = xm
-            else:
-                x0 = xm
+        wide = (x1 - x0) >= (y1 - y0)
+        lo, hi = (x0, x1) if wide else (y0, y1)
+        for t in (0.5, 0.4, 0.6):
+            m = lo + t * (hi - lo)
+            try:
+                below = count_zeros_rect(a, (x0, m, y0, y1) if wide else (x0, x1, y0, m), n0=24)
+                break
+            except BoundaryZeroError:
+                if t == 0.6:
+                    raise
+        if wide:
+            x0, x1 = (x0, m) if below == 1 else (m, x1)
         else:
-            ym = 0.5 * (y0 + y1)
-            if count_zeros_rect(a, (x0, x1, y0, ym), n0=24) == 1:
-                y1 = ym
-            else:
-                y0 = ym
+            y0, y1 = (y0, m) if below == 1 else (m, y1)
     return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
 
 

@@ -123,23 +123,13 @@ def build_rho_table(
     numpy passes of whole rows, about _PASS_NODES Simpson nodes per pass.
     """
     a, step, n = _grid(a, u_max, step)
-    return _extend(a, step, n, np.ones(0))
-
-
-def _extend(a: Fraction, step: Fraction, n: int, head: np.ndarray) -> RhoTable:
-    """The table to row n from its first len(head) rows, computing the rest.
-
-    A row's value does not depend on where its block starts, so this equals
-    a fresh build bit for bit.
-    """
     af = float(a)
     h = float(step)
     us = h * np.arange(n + 1)
     vals = np.ones(n + 1)
-    vals[: len(head)] = head
 
     block = math.floor(1 / step) - 3
-    first = max(len(head), int(np.searchsorted(us, 1.0 + 1e-15, side="right")))
+    first = int(np.searchsorted(us, 1.0 + 1e-15, side="right"))
     for r0 in range(first, n + 1, block):
         u = us[r0 : r0 + block]
         row, lo, hi, nsub = _panels(u, af, h)
@@ -209,43 +199,42 @@ def _row_integrals(u, row, lo, hi, nsub, us, vals, h, af) -> np.ndarray:
     return np.bincount(row, weights=panel, minlength=len(u))
 
 
+# (a, step) keys cached_rho_table keeps; the least recently used goes first
+_CACHE_KEYS = 8
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _RhoCache:
     """Process-wide cache of rho_a tables: one table per (a, step), at most
-    ``maxsize`` keys (least recently used dropped first), extended row by
-    row when a call needs a larger u_max.  A call returns what
-    build_rho_table(a, u_max, step) returns, as the leading rows of the
-    cached table: row u depends only on the rows before it, never on where
-    the table ends."""
+    _CACHE_KEYS keys, rebuilt to the larger u_max when a call needs more
+    rows.  A call returns what build_rho_table(a, u_max, step) returns, as
+    the leading rows of the cached table: row u depends only on the rows
+    before it, never on where the table ends."""
 
-    def __init__(self, maxsize: int = 8):
+    def __init__(self):
         self._store: OrderedDict = OrderedDict()
-        self.maxsize = maxsize
         self.hits = self.misses = 0
 
     def __call__(self, a, u_max: float = 30.0, step=DEFAULT_STEP) -> RhoTable:
         a, step, n = _grid(a, u_max, step)
         key = (a, step)
-        t = self._store.get(key)
+        t = self._store.pop(key, None)
         if t is not None and len(t.us) > n:
             self.hits += 1
         else:
             self.misses += 1
-            t = build_rho_table(a, u_max, step) if t is None else _extend(a, step, n, t.values)
+            t = build_rho_table(a, u_max, step)
         self._store[key] = t
-        self._store.move_to_end(key)
-        while len(self._store) > self.maxsize:
+        if len(self._store) > _CACHE_KEYS:
             self._store.popitem(last=False)
         if len(t.us) == n + 1:
             return t
         return RhoTable(a=a, step=step, us=t.us[: n + 1], values=t.values[: n + 1], accuracy=t.accuracy)
 
     def cache_info(self) -> _CacheInfo:
-        """Hits, misses (builds and extensions), maxsize and current size,
-        as lru_cache reports them."""
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._store))
+        """Hits, misses (builds), maxsize and current size, as lru_cache
+        reports them."""
+        return _CacheInfo(self.hits, self.misses, _CACHE_KEYS, len(self._store))
 
 
 cached_rho_table = _RhoCache()

@@ -455,6 +455,12 @@ class TestWinding:
         with pytest.raises(BoundaryZeroError, match=r"\(-1\.0, 0\.0, -0\.5, 0\.5\)"):
             count_zeros_rect(1, (-1.0, 0.0, -0.5, 0.5))
 
+    def test_locate_real_zero_in_rect_symmetric_about_axis(self):
+        # the first split is the real axis, through -lambda_1 = -1, and a
+        # later one falls on x = -1: both move off the midpoint
+        z = locate_zero_in_rect(1, (-1.5, -0.5, -0.6, 0.6))
+        assert abs(z + 1.0) < 0.005
+
     def test_unresolved_phase_raises(self, monkeypatch):
         # modulus 1 everywhere, phase jumping by pi at Re s = -1/3 on the
         # bottom and top edges: no bisection can resolve the step

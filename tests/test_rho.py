@@ -163,19 +163,15 @@ class TestBatchedSweep:
 
 class TestCache:
     def test_slices_equal_fresh_builds(self, monkeypatch):
-        # one table per (a, step), built once and extended only when a call
-        # needs more rows; every call returns exactly what a fresh build returns
-        builds, extensions = [], []
+        # one table per (a, step), rebuilt only when a call needs more rows;
+        # every call returns exactly what a fresh build returns
+        builds = []
 
-        def counting(calls, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(args)
-                return fn(*args, **kwargs)
+        def counting(*args, **kwargs):
+            builds.append(args[1])
+            return build_rho_table(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(rho, "build_rho_table", counting(builds, build_rho_table))
-        monkeypatch.setattr(rho, "_extend", counting(extensions, rho._extend))
+        monkeypatch.setattr(rho, "build_rho_table", counting)
         cache = rho._RhoCache()
         a = Fraction(1)
         for u_max in (4.0, 30.0, 6.0, 60.0):
@@ -184,30 +180,18 @@ class TestCache:
             assert np.array_equal(got.us, fresh.us)
             assert np.array_equal(got.values, fresh.values)
             assert (got.a, got.step, got.accuracy) == (fresh.a, fresh.step, fresh.accuracy)
-        assert [b[1] for b in builds] == [4.0]
-        # each extension starts from the rows already held (a fresh build
-        # is an extension of no rows)
-        grown = [(len(e[3]), e[2]) for e in extensions if len(e[3])]
-        assert grown == [(4 * 128 + 1, 30 * 128), (30 * 128 + 1, 60 * 128)]
+        assert builds == [4.0, 30.0, 60.0]
         assert cache.cache_info().misses == 3 and cache.cache_info().hits == 1
 
-    @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3), Fraction(1, 20)])
-    def test_small_extensions_equal_fresh_build(self, a):
-        # extensions by a few rows, mid-block, as an increasing ratio scan makes
-        cache = rho._RhoCache()
-        for u_max in (2.0, 2.03, 3.5, 5.0, 7.9, 8.0):
-            got = cache(a, u_max=u_max)
-        assert np.array_equal(got.values, build_rho_table(a, u_max=8.0).values)
-
     def test_store_is_bounded(self):
-        cache = rho._RhoCache(maxsize=2)
-        for i in (2, 3, 4):
-            cache(Fraction(1, i), u_max=2.0)
-        cache(Fraction(1, 3), u_max=1.5)
-        assert list(cache._store) == [
-            (Fraction(1, 4), rho.DEFAULT_STEP), (Fraction(1, 3), rho.DEFAULT_STEP)
-        ]
-        assert cached_rho_table.maxsize == 8
+        cache = rho._RhoCache()
+        keys = [(Fraction(1, i), rho.DEFAULT_STEP) for i in range(1, rho._CACHE_KEYS + 2)]
+        for a, _ in keys:
+            cache(a, u_max=2.0)
+        assert list(cache._store) == keys[1:]
+        cache(keys[1][0], u_max=1.5)
+        assert list(cache._store) == keys[2:] + keys[1:2]
+        assert cache.cache_info().currsize == rho._CACHE_KEYS
 
     def test_invalid_arguments_raise_before_lookup(self):
         cached_rho_table(Fraction(1), u_max=6.0)
