@@ -170,8 +170,8 @@ def _keep_pairs(kind: str, i: int) -> list[tuple[int, int]]:
 class FamilyOracle:
     """Memoized Dense/StrongDense membership for one y.
 
-    Caches are value-keyed, so repeated divisor lookups across a bulk
-    enumeration share work; safe to reuse across calls with the same y.
+    Caches are value-keyed, so repeated divisor lookups across queries
+    share work; safe to reuse across calls with the same y.
     """
 
     def __init__(self, y: Fraction):
@@ -298,12 +298,7 @@ def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
         _, members = _iter_tree(spec, x, collect=True)
         members.sort()
         return members
-    # Dense(i >= 3)/StrongDense: enumerate the ThetaUpper(i) superset, filter exactly.
-    superset = enumerate_members(
-        FamilySpec("thetaupper", spec.y, i=spec.i, squarefree=spec.squarefree), x
-    )
-    orc = _oracle(spec.y)
-    return [n for n in superset if orc.member(spec.kind, n, spec.i)]
+    return np.flatnonzero(_bulk_level(spec, x)).tolist()
 
 
 def count_members(spec: FamilySpec, x: int) -> int:
@@ -311,10 +306,10 @@ def count_members(spec: FamilySpec, x: int) -> int:
     if _is_chain(spec):
         count, _ = _iter_tree(spec, x, collect=False)
         return count
-    return len(enumerate_members(spec, x))
+    return int(np.count_nonzero(_bulk_level(spec, x)))
 
 
-def count_family(spec: FamilySpec, x: int, with_model: bool = True) -> CountReport:
+def count_family(spec: FamilySpec, x: int) -> CountReport:
     """CountReport with u = log x / log y and model x*rho_a(u) when available.
 
     The model is withheld (None) where rho_a(u) is below 100 times the
@@ -326,7 +321,7 @@ def count_family(spec: FamilySpec, x: int, with_model: bool = True) -> CountRepo
     c = count_members(spec, x)
     u = math.log(x) / math.log(float(spec.y)) if x > 1 else 0.0
     model = None
-    if with_model and u <= 58.0:
+    if u <= 58.0:
         a = spec.exponent
         table = cached_rho_table(a, u_max=max(4.0, math.ceil(u) + 2.0))
         rho_u = float(table(u))
@@ -381,63 +376,82 @@ def _not_y_dense(own, d, kept, py: int, qy: int, bound: int) -> np.ndarray:
     return own[1:][(own[1:] == own[:-1]) & (d[1:] * qy > d[:-1] * py)]
 
 
-def membership_tables(N: int, y: Fraction, imax: int) -> dict:
-    """Byte tables over n <= N: smooth, and thetalower/thetaupper/dense/
-    strongdense per level i = 0..imax (level 0 holds every n).
+def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dict]:
+    """The smooth table, and levels 0..imax over n <= N of each kind asked for
+    among thetalower, thetaupper, dense and strongdense (level 0 holds every n).
 
     Array recurrences over every n <= N, compared exactly in int32, int64 or
     Python ints.  A chain family holds n when P^+(n) passes against the
-    parent m = n / P^+(n) and m is a member.  Dense(i) and StrongDense(i)
-    hold n when, for each keep pair (j, k) of level i, n is in levels j and k
-    and the d in level j with n/d in level k are y-dense; one y-dense check
-    on each window of divisor rows serves both, levels 1..imax per window.
-    Neither the oracle nor the chain tree is used, so the tables stay an
-    independent route.
-    Index 0 is 0 in smooth and in dense/strongdense for i >= 1, and 1 elsewhere.
+    parent m = n / P^+(n) and m is a member.  Dense(1) = StrongDense(1) is
+    the chain family theta(m) = y m (Tenenbaum), ThetaUpper(1) without n = 0.
+    Dense(i) and StrongDense(i), i >= 2, hold n when, for each keep pair
+    (j, k) of level i, n is in levels j and k and the d in level j with n/d
+    in level k are y-dense.  Level i lies within level i - 1, so its check
+    reads only the divisor rows of owners in level i - 1.  Each window's
+    rows are built once and serve every kind, levels 2..imax in order.
     """
     if N < 1 or imax < 0:
         raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
-    # 24 bytes per n in int32 spf, lpf, parent, n and two masks, 8 per level and its bytes
-    spf = sieve_spf(max(N, 2), _BULK_BUDGET // (24 + 8 * imax))[: N + 1].astype(np.int32)
+    # 24 bytes per n in int32 lpf, parent, n, a temporary and masks, 2 per level and kind
+    lpf = sieve_spf(max(N, 2), _BULK_BUDGET // (24 + 2 * len(kinds) * imax))[: N + 1].astype(np.int32)
     y = Fraction(y)
     py, qy = y.numerator, y.denominator
     n = np.arange(N + 1, dtype=np.int32)
-    lpf = spf.copy()  # P^+(n) = max(P^-(n), P^+(n / P^-(n)))
-    for s in _blocks(N):
-        np.maximum(lpf[s], lpf[n[s] // spf[s]], out=lpf[s])
+    for s in _blocks(N):  # P^-(n) becomes P^+(n) = max(P^-(n), P^+(n / P^-(n))), in place
+        np.maximum(lpf[s], lpf[n[s] // lpf[s]], out=lpf[s])
     parent = n // np.maximum(lpf, 1)
+    smooth = lpf <= py // qy  # only the last step binds
+    smooth[0] = False
     ones = np.ones(N + 1, dtype=bool)
 
-    def chain(step, bound):  # step(p, m) runs only where the parent m is a member
+    def chain(step, i):  # step(p, m, i) runs only where the parent m is a member
+        b = max((N * qy) ** i, py**i * N)  # bounds every product below
         t = ones.copy()
         for s in _blocks(N):
             t[s] = t[parent[s]]
             k = s.start + np.flatnonzero(t[s])
-            t[k] = step(_exact(lpf[k], bound), _exact(parent[k], bound))
+            t[k] = step(_exact(lpf[k], b), _exact(parent[k], b), i)
         return t
 
-    smooth = lpf <= py // qy  # only the last step binds
-    smooth[0] = False
-    tl, tu = [ones], [ones]
-    for i in range(1, imax + 1):
-        b = max((N * qy) ** i, py**i * N)  # bounds every product below
-        tl.append(chain(lambda p, m: (p * qy <= py) | (p**i * qy <= py * m), b))
-        tu.append(chain(lambda p, m: (p * qy) ** i <= py**i * m, b))
-
-    dense = [ones] + [n > 0 for _ in range(imax)]
-    strong = [ones] + [n > 0 for _ in range(imax)]
+    steps = {"thetalower": lambda p, m, i: (p * qy <= py) | (p**i * qy <= py * m),
+             "thetaupper": lambda p, m, i: (p * qy) ** i <= py**i * m}
+    levels = {kind: [ones] + [chain(steps[kind], i) for i in range(1, imax + 1)]
+              for kind in kinds if kind not in _D_KINDS}
+    first = chain(steps["thetaupper"], 1) & (n > 0)
+    del n, lpf, parent  # the window loop reads no array over every n but the levels
+    dense = {kind: [ones, first, *(first.copy() for _ in range(2, imax + 1))][: imax + 1]
+             for kind in kinds if kind in _D_KINDS}
     bound = N * max(py, qy)
-    for w, start, d in _windows(N):
-        own = np.repeat(n[w], np.diff(start))  # the owner of each divisor d
-        m = own // d
-        for kind, L in (("dense", dense), ("strongdense", strong)):
-            for i in range(1, imax + 1):
+    for w, start, d in _windows(N) if imax > 1 else ():
+        counts = np.diff(start)  # the divisors of each owner
+        for kind, L in dense.items():
+            for i in range(2, imax + 1):
+                alive = L[i - 1][w]  # the owners o in level i - 1, and their divisors dl
+                o = np.repeat(w.start + np.flatnonzero(alive), counts[alive])
+                dl = d[np.repeat(alive, counts)]
                 for j, k in _keep_pairs(kind, i):
                     L[i][w] &= L[j][w] & L[k][w]
-                    kept = L[j][d] if k == 0 else L[j][d] & L[k][m]
-                    L[i][_not_y_dense(own, d, kept, py, qy, bound)] = False
+                    kept = L[j][dl] if k == 0 else L[j][dl] & L[k][o // dl]
+                    L[i][_not_y_dense(o, dl, kept, py, qy, bound)] = False
+    return smooth, levels | dense
 
-    levels = {"thetalower": tl, "thetaupper": tu, "dense": dense, "strongdense": strong}
+
+def _bulk_level(spec: FamilySpec, x: int) -> np.ndarray:
+    """Dense(i) or StrongDense(i) over n <= x from _bulk_levels, masked to the
+    squarefree n for a squarefree spec."""
+    level = _bulk_levels(x, spec.y, spec.i, (spec.kind,))[1][spec.kind][spec.i]
+    return level & _squarefree_mask(x) if spec.squarefree else level
+
+
+def membership_tables(N: int, y: Fraction, imax: int) -> dict:
+    """Byte tables over n <= N: smooth, and thetalower/thetaupper/dense/
+    strongdense per level i = 0..imax (level 0 holds every n), by _bulk_levels.
+    Dense(1) is ThetaUpper(1) there, so the link Dense within ThetaUpper holds
+    by construction at i = 1 only.  Neither the oracle nor the chain tree is
+    used, so the tables stay an independent route.
+    Index 0 is 0 in smooth and in dense/strongdense for i >= 1, and 1 elsewhere.
+    """
+    smooth, levels = _bulk_levels(N, y, imax, ("thetalower", "thetaupper", "dense", "strongdense"))
     return {"smooth": bytearray(smooth.tobytes())} | {
         kind: [bytearray(t.tobytes()) for t in ts] for kind, ts in levels.items()
     }
@@ -453,16 +467,12 @@ class SSFValue:
     """F_beta(n): the maximizing divisor and the exact comparison key.
 
     For beta = pb/qb the key is d**qb * P^-(d)**pb; keys compare exactly like
-    the real values d * P^-(d)**beta (same qb).  value is the float view.
+    the real values d * P^-(d)**beta (same qb).
     """
 
     d: int
     key: int
     beta: Fraction
-
-    @property
-    def value(self) -> float:
-        return float(self.key) ** (1.0 / self.beta.denominator)
 
 
 def _beta(beta: Fraction | int) -> Fraction:

@@ -340,6 +340,7 @@ class TestVerifyAndDeterminism:
     @pytest.mark.parametrize("args", [
         "member --family smooth --y 2 --n 0",
         "count --family smooth --y 2 --x 0",
+        "count --family strongdense --i 3 --y 2 --x 0",
         "ratio-scan --family smooth --y 2 --x-list 0,10",
         "verify --suite identities --xmax 0",
         "verify --suite sandwich --nmax -5",
@@ -365,6 +366,32 @@ class TestVerifyAndDeterminism:
         r = runner.invoke(main, ["verify", "--suite", "sandwich", "--nmax", "50000000"])
         assert r.exit_code == 3
         assert time.monotonic() - t0 < 5.0
+
+    def test_count_budget_exit_code(self, runner):
+        # the count route holds 30 bytes per n at i = 3, so x = 1e8 is past the 1 GiB budget
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["count", "--family", "dense", "--i", "3", "--y", "2",
+                                 "--x", "100000000"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
+
+    # stdout of the count route for Dense(i != 2) and StrongDense, captured
+    # while it still filtered the ThetaUpper(i) superset with the oracle
+    @pytest.mark.parametrize("args,golden", [
+        ("count --family dense --i 3 --y 5/2 --x 100000 --format json",
+         "count_dense3_y5_2_json.txt"),
+        ("count --family strongdense --i 4 --y 10 --x 100000 --squarefree --format csv",
+         "count_strongdense4_y10_sf_csv.txt"),
+        ("enumerate --family strongdense --i 3 --y 2 --x 3000",
+         "enumerate_strongdense3_y2.txt"),
+    ])
+    def test_golden_count_route_stdout(self, runner, args, golden):
+        r = runner.invoke(main, args.split())
+        assert r.exit_code == 0
+        assert r.stdout == (GOLDEN_DIR / golden).read_text()
 
     def test_verification_failure_exit_code(self, runner, monkeypatch):
         from densediv import cli as cli_mod

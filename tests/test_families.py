@@ -141,13 +141,14 @@ class TestSandwichSmall:
             assert bytes(de[i]) == bytes(st_[i])
 
     def test_tenenbaum_characterization(self):
-        # Dense(1) equals the chain family with theta(n) = y n, n <= 1e5
+        # Dense(1) by its definition equals the chain family with theta(n) = y n,
+        # n <= 1e5; the tables take Dense(1) from that chain, so they are not the judge
         N = 100_000
         for y in (Y2, Fraction(3)):
-            t = tables_at(N, y)
+            orc = FamilyOracle(y)
             spec = FamilySpec("bpower", y, a=Fraction(1))
             for n in range(1, N + 1):
-                assert bool(t["dense"][1][n]) == is_member(n, spec), (n, y)
+                assert orc.member("dense", n, 1) == is_member(n, spec), (n, y)
 
     def test_nesting_and_small_i_equality_full_range(self):
         # Dense(i+1) within Dense(i) (same for strong) and Dense == StrongDense
@@ -212,12 +213,16 @@ class TestMembershipTables:
 
 
 def _bulk_arrays(N):
-    """Every table and two Schinzel-Szekeres masks at N, as bytes."""
+    """Every table, the Dense(3) and StrongDense(4) member lists of the count
+    route, and two Schinzel-Szekeres masks at N."""
     out = []
     for y in (Fraction(2), Fraction(5, 2), Fraction(10**17 + 3, 3 * 10**16)):
         t = families.membership_tables(N, y, 4)
         out += [t["smooth"]] + [b for k in ("thetalower", "thetaupper", "dense", "strongdense")
                                 for b in t[k]]
+        # the count route's level, read by the same window loop
+        out += [enumerate_members(FamilySpec("dense", y, i=3), N),
+                enumerate_members(FamilySpec("strongdense", y, i=4), N)]
     for beta, num, den, e in ((1, 2, 1, 1), (Fraction(7, 3), 3**7, 2**7, 3)):
         out.append(families._ssf_within(N, beta, num, den, e).tobytes())
     return out
@@ -255,6 +260,12 @@ def test_bulk_budget(monkeypatch):
         assert len(families.membership_tables(1000, Y2, imax)["smooth"]) == 1001
         with pytest.raises(ResourceLimitError):
             families.membership_tables(1001, Y2, imax)
+    # the count route for Dense(i != 2) and StrongDense builds one kind: 24 + 2 i bytes per n
+    d3 = FamilySpec("dense", 2, i=3)
+    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * (24 + 2 * 3))
+    assert count_members(d3, 1000) > 1
+    with pytest.raises(ResourceLimitError):
+        count_members(d3, 1001)
     monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * 9)
     assert len(families._ssf_within(1000, 1, 2, 1, 1)) == 1001
     with pytest.raises(ResourceLimitError):
@@ -274,9 +285,10 @@ def test_bulk_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(families, "np", NoArrays())
     monkeypatch.setattr(integers, "np", NoArrays())
-    # the first N past 1 GiB at imax = 4 (56 bytes per n) and at 9 bytes per n;
-    # both are inside the sieve's own budget
+    # the first N past 1 GiB at imax = 4 (56 bytes per n), at i = 3 (30) and at
+    # 9 bytes per n; all are inside the sieve's own budget
     for call in (lambda: families.membership_tables((1 << 30) // 56, Y2, 4),
+                 lambda: count_members(FamilySpec("dense", 2, i=3), (1 << 30) // 30),
                  lambda: families._ssf_within((1 << 30) // 9, 1, 2, 1, 1)):
         with pytest.raises(ResourceLimitError):
             call()
@@ -324,10 +336,51 @@ class TestEnumerationConsistency:
         filtered = sum(1 for n in superset if orc.member("dense", n, 2))
         assert count_members(FamilySpec("dense", y, i=2), x) == filtered
 
+    @given(
+        st.tuples(st.integers(1, 50), st.integers(1, 50)).filter(lambda pq: pq[1] < pq[0] <= 12 * pq[1]),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(["dense", "strongdense"]),
+        st.booleans(),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bulk_route_matches_definition(self, pq, i, kind, squarefree, x):
+        # y = p/q in (1, 12]: the count route against is_member, the definition
+        spec = FamilySpec(kind, Fraction(*pq), i=i, squarefree=squarefree)
+        members = enumerate_members(spec, x)
+        assert members == [n for n in range(1, x + 1) if is_member(n, spec)]
+        assert count_members(spec, x) == len(members)
+
+    def test_bulk_route_calls_no_oracle_and_no_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the count route reached the oracle or the chain tree")
+
+        monkeypatch.setattr(FamilyOracle, "member", refuse)
+        monkeypatch.setattr(families, "_iter_tree", refuse)
+        for kind, i in (("dense", 1), ("dense", 3), ("strongdense", 2), ("strongdense", 4)):
+            for squarefree in (False, True):
+                spec = FamilySpec(kind, Fraction(5, 2), i=i, squarefree=squarefree)
+                assert count_members(spec, 5000) == len(enumerate_members(spec, 5000)) > 1
+
+    @pytest.mark.parametrize("y", [Y2, Fraction(5, 2), Fraction(10)])
+    def test_count_route_matches_superset_filter(self, y):
+        # reference route sharing no code with the bulk kernel: Dense(i) and
+        # StrongDense(i) lie within ThetaUpper(i), so the oracle filters that superset
+        x = 100_000
+        orc = FamilyOracle(y)
+        for i in (3, 4):
+            for squarefree in (False, True):
+                superset = enumerate_members(FamilySpec("thetaupper", y, i=i, squarefree=squarefree), x)
+                for kind in ("dense", "strongdense"):
+                    expect = sum(1 for n in superset if orc.member(kind, n, i))
+                    got = count_members(FamilySpec(kind, y, i=i, squarefree=squarefree), x)
+                    assert got == expect, (kind, i, squarefree)
+
     @pytest.mark.parametrize("y", [Y2, Fraction(5, 2), Fraction(10)])
     def test_superset_filter_counts_match_tables(self, y):
-        # count_members for i >= 3 filters the ThetaUpper(i) superset with the
-        # oracle; the bulk tables cover every n <= x by the other route
+        # count_members and the bulk tables share the window kernel, so this
+        # checks the count route's level and squarefree mask against the tables;
+        # test_count_route_matches_superset_filter is the independent check
         import numpy as np
 
         x = 100_000
