@@ -181,7 +181,7 @@ def certificate(a_):
 def rho_table(a_, u_max, step, out):
     """Tabulate rho_a and export CSV (u, rho, model, ratio)."""
     table_ = _guard(rho.build_rho_table, a_, u_max=u_max, step=step)
-    cert = gzero.find_lambda(a_) if a_ > 0 else None
+    cert = _guard(gzero.find_lambda, a_) if a_ > 0 else None
     table_.export_csv(sys.stdout if out == "-" else out, cert)
 
 
@@ -243,8 +243,8 @@ def _sandwich_links(t: dict, imax: int) -> tuple[int, bool, bool]:
     """The (i, n), n >= 1, where a sandwich link fails; whether each Dense and
     StrongDense level nests in the one below; whether Dense == StrongDense for
     i <= 2.  Reads views of the tables, and drops them on return."""
-    sm = np.frombuffer(t["smooth"], dtype=np.uint8)[1:]
-    tl, tu, de, st = ([np.frombuffer(b, dtype=np.uint8)[1:] for b in t[kind]]
+    sm = t["smooth"][1:]
+    tl, tu, de, st = ([b[1:] for b in t[kind]]
                       for kind in ("thetalower", "thetaupper", "dense", "strongdense"))
     bad, nest, eq12 = 0, True, True
     for i in range(1, imax + 1):
@@ -286,7 +286,7 @@ def _suite_identities(xmax: int) -> list[dict]:
                             "detail": f"x={xmax}"})
     # Dense(2) by its definition (the bulk tables) against the theta_2 chain tree
     for y in (Fraction(2), Fraction(3)):
-        table = np.frombuffer(families.membership_tables(xmax, y, 2)["dense"][2], dtype=bool)
+        table = families.membership_tables(xmax, y, 2)["dense"][2]
         tree = np.zeros_like(table)
         tree[families.enumerate_members(FamilySpec("dense", y, i=2), xmax)] = True
         bad = int(np.count_nonzero(table[1:] != tree[1:]))

@@ -261,13 +261,17 @@ def _prime_ceiling(spec: FamilySpec, x: int) -> int:
     return min(x, int(max(base, alt, yf)) + 10)
 
 
-def _iter_tree(spec: FamilySpec, x: int, collect: bool, node_budget: int = 200_000_000):
+# the members above 1 that one chain-tree walk may visit
+_NODE_BUDGET = 200_000_000
+
+
+def _iter_tree(spec: FamilySpec, x: int, collect: bool):
     """DFS over nondecreasing prime chains p <= theta_floor(m); every node is a member.
 
     The children of node m are the primes from P^+(m) (strictly above it when
     squarefree) up to min(theta(m), x // m); one bisect counts them all.  Only
     children with p <= isqrt(x // m) are pushed: a larger p has m p^2 > x, so
-    m p has no child.  node_budget bounds the number of members above 1.
+    m p has no child.  _NODE_BUDGET bounds the number of members above 1.
     """
     if x < 1:
         raise DomainError("x must be >= 1")
@@ -283,7 +287,7 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool, node_budget: int = 200_0
         if hi <= i0:
             continue
         count += hi - i0
-        if count - 1 > node_budget:
+        if count - 1 > _NODE_BUDGET:
             raise ResourceLimitError("enumeration node budget exceeded")
         if collect:
             members.extend([m * p for p in primes[i0:hi]])
@@ -444,17 +448,18 @@ def _bulk_level(spec: FamilySpec, x: int) -> np.ndarray:
 
 
 def membership_tables(N: int, y: Fraction, imax: int) -> dict:
-    """Byte tables over n <= N: smooth, and thetalower/thetaupper/dense/
-    strongdense per level i = 0..imax (level 0 holds every n), by _bulk_levels.
+    """Read-only bool arrays over n <= N: smooth, and thetalower/thetaupper/
+    dense/strongdense per level i = 0..imax (level 0 holds every n), by _bulk_levels.
     Dense(1) is ThetaUpper(1) there, so the link Dense within ThetaUpper holds
     by construction at i = 1 only.  Neither the oracle nor the chain tree is
     used, so the tables stay an independent route.
-    Index 0 is 0 in smooth and in dense/strongdense for i >= 1, and 1 elsewhere.
+    Index 0 is False in smooth and in dense/strongdense for i >= 1, and True
+    elsewhere.
     """
     smooth, levels = _bulk_levels(N, y, imax, ("thetalower", "thetaupper", "dense", "strongdense"))
-    return {"smooth": bytearray(smooth.tobytes())} | {
-        kind: [bytearray(t.tobytes()) for t in ts] for kind, ts in levels.items()
-    }
+    for t in (smooth, *(t for ts in levels.values() for t in ts)):
+        t.setflags(write=False)
+    return {"smooth": smooth} | levels
 
 
 # ---------------------------------------------------------------------------

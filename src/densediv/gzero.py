@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -102,11 +101,17 @@ def _at_nonpositive_integer(s: complex) -> bool:
     return s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real)
 
 
-def _g_exact_or_series(a: Fraction, s: complex, dps: int = 40) -> complex:
-    """g_a(s) by the series route, or from the exact rational value where s
-    is a non-positive integer (a removable point of the series normalization)."""
+def _g_exact_or_series(a: Fraction, s: complex, dps: int = 40, margin: float | None = None) -> complex:
+    """g_a(s) from the exact rational value where s is a non-positive integer
+    (a removable point of the series normalization); else from the float
+    series route if a margin is given and its value is finite and at least
+    margin times its finite noise; else from the series route at dps digits."""
     if _at_nonpositive_integer(s):
         return complex(float(g_eval_neg_int(a, int(-s.real))) * EXP_NEG_GAMMA / float(a))
+    if margin is not None:
+        v, noise = _g_series_float(a, s)
+        if math.isfinite(abs(v)) and math.isfinite(noise) and abs(v) >= margin * noise:
+            return v
     return g_eval_series(a, s, dps=dps)[0]
 
 
@@ -142,18 +147,6 @@ def _mp_gammalow_down(s, z, K: int, tol) -> list:
     return out
 
 
-def _h2_cutoff(a: Fraction, dps: int, sigma: float) -> float:
-    """U with u^sigma e^{-(u-1)/a} below 10^-(dps+15) of its peak for u >= U."""
-    zf = float(a.denominator) / float(a.numerator)
-    peak_u = max(1.0, sigma / zf)
-    peak = sigma * math.log(peak_u) - (peak_u - 1.0) * zf
-    target = peak - (dps + 15) * math.log(10)
-    U = peak_u + 1.0
-    while sigma * math.log(U) - (U - 1.0) * zf > target and U < 10000.0:
-        U *= 1.25
-    return max(3.0, U)
-
-
 @lru_cache(maxsize=8)
 def _gl24(prec: int) -> tuple:
     """The 24-point Gauss-Legendre (node, weight) pairs on [-1, 1]."""
@@ -167,73 +160,39 @@ def _gl_panel(lo, hi) -> list:
     return [(mid + half * x, half * w) for x, w in _gl24(mp.mp.prec)]
 
 
-def _log_e1(nodes) -> tuple[tuple, tuple]:
-    return tuple(mp.log(u) for u, _ in nodes), tuple(mp.e1(u) for u, _ in nodes)
-
-
 @lru_cache(maxsize=1024)
 def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple]:
     """log u and E1(u) at the nodes of the unit panel [m, m+1], at dps + 8
     digits.  They do not depend on a, so every a shares one evaluation."""
     with mp.workdps(dps + 8):
-        return _log_e1(_gl_panel(mp.mpf(m), mp.mpf(m + 1)))
+        nodes = _gl_panel(mp.mpf(m), mp.mpf(m + 1))
+        return tuple(mp.log(u) for u, _ in nodes), tuple(mp.e1(u) for u, _ in nodes)
 
 
-class _H2Cache:
-    """Gauss-Legendre panels for h_{2,a}(s) = int_1^inf u^s W(u) du with
-    W(u) = exp(-u/a + J(u)), keyed by (a, dps, covered range), at most
-    ``maxsize`` keys (least recently used dropped first).  Log-nodes and
-    weighted W values are mpf; on the unit panels the log-nodes and J = E1
-    come from _e1_unit_panel, and only exp(-u/a) is computed per a."""
-
-    def __init__(self, maxsize: int = 32):
-        self._store: OrderedDict = OrderedDict()
-        self.maxsize = maxsize
-
-    def get(self, a: Fraction, dps: int, U_need: float):
-        key = (a, dps)
-        cached = self._store.get(key)
-        if cached is not None and cached[0] >= U_need:
-            self._store.move_to_end(key)
-            return cached[1]
-        with mp.workdps(dps + 8):
-            z = mp.mpf(a.denominator) / mp.mpf(a.numerator)
-            U_full = max(U_need, 1.0 + (dps + 15) * math.log(10) / float(z), 3.0)
-            panels = []
-            m = 1
-            while m < U_full:
-                lo = mp.mpf(m)
-                hi = min(lo + 1, mp.mpf(U_full))
-                nodes = _gl_panel(lo, hi)
-                lnxs, e1s = _e1_unit_panel(dps, m) if hi == lo + 1 else _log_e1(nodes)
-                ws = [hw * mp.exp(-u * z + e1) for (u, hw), e1 in zip(nodes, e1s)]
-                panels.append((float(lo), float(hi), lnxs, ws))
-                m += 1
-        self._store[key] = (U_full, panels)
-        self._store.move_to_end(key)
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-        return panels
-
-
-_H2 = _H2Cache()
+@lru_cache(maxsize=4096)
+def _h2_panel(a: Fraction, dps: int, m: int) -> tuple[tuple, tuple]:
+    """log u and the weighted W(u) = exp(-u/a + E1(u)) at the nodes of the
+    unit panel [m, m+1], at dps + 8 digits; only exp(-u/a) is computed per a."""
+    lnxs, e1s = _e1_unit_panel(dps, m)
+    with mp.workdps(dps + 8):
+        z = mp.mpf(a.denominator) / mp.mpf(a.numerator)
+        nodes = _gl_panel(mp.mpf(m), mp.mpf(m + 1))
+        return lnxs, tuple(hw * mp.exp(-u * z + e1) for (u, hw), e1 in zip(nodes, e1s))
 
 
 def _h2_eval(a: Fraction, s, dps: int):
-    """h_{2,a}(s) using cached panels; panels beyond the s-dependent cutoff
-    contribute below working precision and are skipped."""
+    """h_{2,a}(s) = int_1^inf u^s W(u) du over the unit panels m = 1, 2, ...,
+    up to the first panel past the integrand's peak where its magnitude
+    u^sigma e^{-(u-1)/a} has fallen below working precision."""
     sigma = float(mp.re(s))
-    U_need = _h2_cutoff(a, dps, sigma)
-    panels = _H2.get(a, dps, U_need)
     zf = float(a.denominator) / float(a.numerator)
     ln_tol = sigma * math.log(max(1.0, sigma / zf)) - (dps + 10) * math.log(10)
     tot = mp.mpf(0)
-    for lo, hi, lnxs, ws in panels:
-        # integrand magnitude ~ u^sigma e^{-u z}: skip once negligibly small
-        if lo > max(1.5, sigma / zf) and sigma * math.log(lo) - (lo - 1.0) * zf < ln_tol:
-            break
-        for lnx, w in zip(lnxs, ws):
+    m = 1
+    while m <= max(1.5, sigma / zf) or sigma * math.log(m) - (m - 1.0) * zf >= ln_tol:
+        for lnx, w in zip(*_h2_panel(a, dps, m)):
             tot += w * mp.exp(s * lnx)
+        m += 1
     return tot
 
 
@@ -347,13 +306,15 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     Re s in [-64, 2], Im s in {0, 0.4, 3}, a in {1, 1/2, 1/10, 1/20, 1/25}, it
     bounds the error only for |s| <= 14: the rounding of u^s, of the
     incomplete gammas and of 1/Gamma(s) grows like |s| eps, and further left
-    the error exceeds the noise by up to 6.5x.  The callers re-evaluate in
-    high precision below 50x (find_lambda) and 1e4x (residue_C's contour)
-    the noise, and residue_C's complex-step derivative falls back to high
-    precision once its noise exceeds 1/100 of the rtol it is checked to;
-    each margin covers that factor.  Where the noise is comparable to the
-    value the float value means nothing: at a = 1, s = -31.863 it is 5e18
-    against a true -3e16.
+    the error exceeds the noise by up to 6.5x.  _g_exact_or_series
+    re-evaluates in high precision below 50x (find_lambda) and 1e4x
+    (residue_C's contour) the noise, and residue_C's complex-step derivative
+    falls back to high precision once its noise exceeds 1/100 of the rtol it
+    is checked to; each margin covers that factor.  Where the noise is
+    comparable to the value the float value means nothing: at a = 1,
+    s = -31.863 it is 5e18 against a true -3e16.  Far left the value and
+    the noise can be NaN (a = 1/60, s = -204.4); both fallbacks take that
+    as a sample to re-evaluate.
     """
     sc = complex(s)
     af = float(a)
@@ -487,11 +448,6 @@ def h_bound(a: Fraction | float, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _g_real(a: Fraction, x: float, dps: int = 40) -> float:
-    v, _ = g_eval_series(a, complex(x, 0.0), dps=dps)
-    return v.real
-
-
 def find_lambda(a: Fraction | int, dps: int | None = None) -> ZeroCertificate:
     """Locate lambda_a: sign scan of the exact polynomial values g_a(-n) a e^gamma,
     bisection inside the bracket, secant polish, residual check.
@@ -500,6 +456,13 @@ def find_lambda(a: Fraction | int, dps: int | None = None) -> ZeroCertificate:
     share one entry.
     """
     return _find_lambda(Fraction(a), dps)
+
+
+# the residue contour's radius around -lambda_a
+_CONTOUR_R = 0.4
+# the last bracket end -n the series route (K >= 1 - Re s, K <= _BMAX) can
+# polish: every bisection, secant and contour sample has Re s >= -n - _CONTOUR_R
+_SCAN_MAX = math.floor(_BMAX - 1 - _CONTOUR_R)
 
 
 @lru_cache(maxsize=64)
@@ -518,74 +481,59 @@ def _find_lambda(a: Fraction, dps: int | None) -> ZeroCertificate:
         n += 1
         if n > n_cap:
             raise SearchFailureError(f"no sign change of g_a(-n) up to n={n_cap} for a={a}")
-        cur = g_eval_neg_int(a, n)
-        if cur == 0:
-            cert = ZeroCertificate(
-                a=a, lam=float(n), C=float("nan"), bracket=(n, n),
-                bracket_signs=(prev, cur), residual=0.0,
+        if n > _SCAN_MAX:
+            raise DomainError(
+                f"no sign change of g_a(-n) up to n={_SCAN_MAX} for a={a}: the series "
+                f"route (K <= {_BMAX} terms) cannot certify a zero further left"
             )
-            return _with_residue(cert, dps)
-        if cur < 0:
+        cur = g_eval_neg_int(a, n)
+        if cur <= 0:
             break
         prev = cur
 
-    # bisect with the float evaluator, falling back to high precision when a
-    # sample is below its noise floor
-    def f_at(x: float) -> float:
-        v, noise = _g_series_float(a, complex(-x, 0.0))
-        if abs(v.real) < 50.0 * noise:
-            return _g_real(a, -x, dps)
-        return v.real
-
-    lo, hi = float(n - 1), float(n)
-    flo = float(prev)
-    for _ in range(34):
-        mid = 0.5 * (lo + hi)
-        fm = f_at(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    # secant polish at full precision from the bracket ends
-    x0, x1 = lo, hi
-    if x0 != x1:
-        f0 = _g_real(a, -x0, dps)
-        f1 = _g_real(a, -x1, dps)
-        for _ in range(4):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not (n - 1 <= x2 <= n):
-                break
-            x0, f0 = x1, f1
-            x1, f1 = x2, _g_real(a, -x2, dps)
-            if f1 == 0.0:
-                break
-        lam = x1
+    if cur == 0:
+        lam, bracket, residual = float(n), (n, n), 0.0
     else:
-        lam = x0
-    residual = abs(_g_real(a, -lam, dps)) * float(a) * math.exp(EULER_GAMMA)
-    cert = ZeroCertificate(
-        a=a, lam=lam, C=float("nan"), bracket=(n - 1, n),
+        # bisect on the float route; a sample below 50x its noise is re-evaluated
+        # in high precision
+        lo, hi = float(n - 1), float(n)
+        flo = float(prev)
+        for _ in range(34):
+            mid = 0.5 * (lo + hi)
+            fm = _g_exact_or_series(a, complex(-mid, 0.0), dps, margin=50.0).real
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        # secant polish at full precision from the bracket ends
+        x0, x1 = lo, hi
+        if x0 != x1:
+            f0 = _g_exact_or_series(a, complex(-x0, 0.0), dps).real
+            f1 = _g_exact_or_series(a, complex(-x1, 0.0), dps).real
+            for _ in range(4):
+                if f1 == f0:
+                    break
+                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+                if not (n - 1 <= x2 <= n):
+                    break
+                x0, f0 = x1, f1
+                x1, f1 = x2, _g_exact_or_series(a, complex(-x2, 0.0), dps).real
+                if f1 == 0.0:
+                    break
+        lam, bracket = x1, (n - 1, n)
+        g_lam = _g_exact_or_series(a, complex(-lam, 0.0), dps).real
+        residual = abs(g_lam) * float(a) * math.exp(EULER_GAMMA)
+    return ZeroCertificate(
+        a=a, lam=lam, C=residue_C(a, lam, dps=dps), bracket=bracket,
         bracket_signs=(prev, cur), residual=residual,
     )
-    return _with_residue(cert, dps)
 
 
 find_lambda.cache_clear = _find_lambda.cache_clear
 find_lambda.cache_info = _find_lambda.cache_info
-
-
-def _with_residue(cert: ZeroCertificate, dps: int) -> ZeroCertificate:
-    C = residue_C(cert.a, cert.lam, dps=dps)
-    return ZeroCertificate(
-        a=cert.a, lam=cert.lam, C=C, bracket=cert.bracket,
-        bracket_signs=cert.bracket_signs, residual=cert.residual,
-        zero_free=cert.zero_free,
-    )
 
 
 def _complex_step_derivative(a: Fraction, x: float) -> tuple[float, float]:
@@ -606,12 +554,12 @@ def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> flo
     The derivative is a complex step on the float series route: g_a is real
     on the real axis, so Im g_a(x + ih)/h = g_a'(x) - h^2 g_a'''(x)/6 + ...
     with no cancellation, and Richardson over h in {1e-2, 5e-3} removes the
-    h^2 term.  Where its noise is above rtol/100 of the derivative, the check
-    falls back to Richardson central differences in high precision.
+    h^2 term.  Where it is not finite or its noise is above rtol/100 of it,
+    the check falls back to Richardson central differences in high precision.
     """
     a = Fraction(a)
     deriv, err = _complex_step_derivative(a, -lam)
-    if err > rtol / 100 * abs(deriv):
+    if not (math.isfinite(deriv) and err <= rtol / 100 * abs(deriv)):
 
         def gr(x: float) -> float:
             return _g_exact_or_series(a, complex(x, 0.0), dps).real
@@ -622,22 +570,18 @@ def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> flo
         deriv = (4 * d2 - d1) / 3
     c_diff = 1.0 / deriv
 
-    r = 0.4
+    r = _CONTOUR_R
     M = 16
     tot = 0j
     for j in range(M):
         th = 2 * math.pi * j / M
         sj = complex(-lam + r * math.cos(th), r * math.sin(th))
-        if _at_nonpositive_integer(sj):
-            gv = _g_exact_or_series(a, sj, dps)
-        else:
-            gv, noise = _g_series_float(a, sj)
-            if abs(gv) < 1e4 * noise:
-                gv, _ = g_eval_series(a, sj, dps=dps)
+        gv = _g_exact_or_series(a, sj, dps, margin=1e4)
         tot += complex(r * math.cos(th), r * math.sin(th)) / gv
     c_cont = (tot / M).real
 
-    if abs(c_diff - c_cont) > rtol * abs(c_cont):
+    # written so that a NaN or an infinity on either route fails the check
+    if not (math.isfinite(c_cont) and abs(c_diff - c_cont) <= rtol * abs(c_cont)):
         raise NumericalConsistencyError(
             f"residue routes disagree for a={a}: diff={c_diff!r} contour={c_cont!r}"
         )
@@ -649,17 +593,21 @@ def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> flo
 # ---------------------------------------------------------------------------
 
 
+# a boundary sample of g_a below this modulus is taken as a zero on the contour
+_MIN_MOD = 1e-9
+# shrink-and-enlarge retries before a boundary zero is reported
+_MAX_RETRIES = 3
+
+
 def count_zeros_rect(
     a: Fraction | float,
     rect: tuple[float, float, float, float],
     n0: int = 48,
-    min_mod: float = 1e-9,
-    max_retries: int = 3,
 ) -> int:
     """Number of zeros of g_a inside rect = (x0, x1, y0, y1), by the winding
     number of g_a around the boundary with adaptive phase tracking.
 
-    If some boundary sample has |g| < min_mod, the rectangle is shrunk and
+    If some boundary sample has |g| < _MIN_MOD, the rectangle is shrunk and
     enlarged by the same small margin and both are counted: the count stands
     only if they agree, since a zero on the boundary lies between them.
     Disagreement, or persistent failure, raises BoundaryZeroError.
@@ -667,15 +615,15 @@ def count_zeros_rect(
     x0, x1, y0, y1 = map(float, rect)
     if not (x0 < x1 and y0 < y1):
         raise DomainError("rect must satisfy x0 < x1, y0 < y1")
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         eps = 1e-3 * attempt * min(x1 - x0, y1 - y0)
         try:
             if attempt == 0:
-                return _winding_count(a, x0, x1, y0, y1, n0, min_mod)
-            inner = _winding_count(a, x0 + eps, x1 - eps, y0 + eps, y1 - eps, n0, min_mod)
-            outer = _winding_count(a, x0 - eps, x1 + eps, y0 - eps, y1 + eps, n0, min_mod)
+                return _winding_count(a, x0, x1, y0, y1, n0)
+            inner = _winding_count(a, x0 + eps, x1 - eps, y0 + eps, y1 - eps, n0)
+            outer = _winding_count(a, x0 - eps, x1 + eps, y0 - eps, y1 + eps, n0)
         except BoundaryZeroError:
-            if attempt == max_retries:
+            if attempt == _MAX_RETRIES:
                 raise
             continue
         if inner != outer:
@@ -687,7 +635,7 @@ def count_zeros_rect(
     raise BoundaryZeroError("unreachable")
 
 
-def _winding_count(a, x0, x1, y0, y1, n0, min_mod) -> int:
+def _winding_count(a, x0, x1, y0, y1, n0) -> int:
     corners = [
         complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0),
     ]
@@ -699,7 +647,7 @@ def _winding_count(a, x0, x1, y0, y1, n0, min_mod) -> int:
     pts.append(corners[0])
     vals = list(g_eval_integral_many(a, np.array(pts)))
     for v in vals:
-        if abs(v) < min_mod:
+        if abs(v) < _MIN_MOD:
             raise BoundaryZeroError("boundary sample too close to a zero")
 
     def refine(p0, p1, v0, v1, depth=0) -> float:
@@ -712,7 +660,7 @@ def _winding_count(a, x0, x1, y0, y1, n0, min_mod) -> int:
             )
         pm = 0.5 * (p0 + p1)
         vm = g_eval_integral(a, pm)
-        if abs(vm) < min_mod:
+        if abs(vm) < _MIN_MOD:
             raise BoundaryZeroError("refined boundary sample too close to a zero")
         return refine(p0, pm, v0, vm, depth + 1) + refine(pm, p1, vm, v1, depth + 1)
 

@@ -67,9 +67,10 @@ def _hermite(s, h, y0, d0, y1, d1):
     return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
 
 
-@lru_cache(maxsize=4)
-def build_omega_table(u_max: float = _OMEGA_UMAX, step: float = OMEGA_STEP) -> OmegaTable:
-    n = int(round((u_max - 3.0) / step))
+@lru_cache(maxsize=1)
+def build_omega_table() -> OmegaTable:
+    step = OMEGA_STEP
+    n = int(round((_OMEGA_UMAX - 3.0) / step))
     us = 3.0 + step * np.arange(n + 1)
     w = np.zeros(n + 1)
     wd = np.zeros(n + 1)

@@ -280,13 +280,15 @@ class TestVerifyAndDeterminism:
     def test_sandwich_suite_counts_violations(self, runner, monkeypatch):
         from fractions import Fraction
 
+        import numpy as np
+
         from densediv import families
 
         def planted(nmax, y, imax):
             # every table holds every n, then each y gets its own faults
-            t = {"smooth": bytearray([1]) * (nmax + 1)}
+            t = {"smooth": np.ones(nmax + 1, dtype=bool)}
             for kind in ("thetalower", "thetaupper", "dense", "strongdense"):
-                t[kind] = [bytearray([1]) * (nmax + 1) for _ in range(imax + 1)]
+                t[kind] = [np.ones(nmax + 1, dtype=bool) for _ in range(imax + 1)]
             if y == 2:
                 t["thetalower"][1][3] = 0  # smooth > ThetaLower(1)
                 # two links at (2, 5), ThetaLower > StrongDense and Dense > ThetaUpper;
@@ -348,6 +350,9 @@ class TestVerifyAndDeterminism:
         "rho-table --a -1",
         "rho-table --a 1 --u-max -1",
         "rho-table --a 1 --step 0",
+        # lambda_{1/100} lies past what the series route can polish
+        "rho-table --a 1/100 --u-max 1.1",
+        "certificate --a 1/100",
         "table --which lambda --i-max 0",
         "table --which lambda --i-max -1",
         "question-scan --i 0 --y 2",

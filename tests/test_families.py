@@ -213,13 +213,14 @@ class TestMembershipTables:
 
 
 def _bulk_arrays(N):
-    """Every table, the Dense(3) and StrongDense(4) member lists of the count
-    route, and two Schinzel-Szekeres masks at N."""
+    """The bytes of every table, the Dense(3) and StrongDense(4) member lists
+    of the count route, and two Schinzel-Szekeres masks at N."""
     out = []
     for y in (Fraction(2), Fraction(5, 2), Fraction(10**17 + 3, 3 * 10**16)):
         t = families.membership_tables(N, y, 4)
-        out += [t["smooth"]] + [b for k in ("thetalower", "thetaupper", "dense", "strongdense")
-                                for b in t[k]]
+        out += [t["smooth"].tobytes()] + [b.tobytes() for k in ("thetalower", "thetaupper",
+                                                               "dense", "strongdense")
+                                          for b in t[k]]
         # the count route's level, read by the same window loop
         out += [enumerate_members(FamilySpec("dense", y, i=3), N),
                 enumerate_members(FamilySpec("strongdense", y, i=4), N)]
@@ -236,6 +237,13 @@ def test_window_width_leaves_bulk_arrays_unchanged(monkeypatch, width):
     default = _bulk_arrays(N)
     monkeypatch.setattr(families, "_window_width", lambda N: width)
     assert _bulk_arrays(N) == default
+
+
+def test_tables_are_read_only_bool_arrays():
+    t = families.membership_tables(100, Y2, 2)
+    for b in (t["smooth"], *(b for k in ("thetalower", "thetaupper", "dense", "strongdense")
+                             for b in t[k])):
+        assert b.dtype == bool and b.shape == (101,) and not b.flags.writeable
 
 
 def test_ssf_within_memory_per_n():
@@ -406,15 +414,18 @@ class TestEnumerationConsistency:
         expect = sum(1 for n in range(1, x + 1) if orc.member("dense", n, 2))
         assert count_members(FamilySpec("dense", y, i=2), x) == expect
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
         spec = FamilySpec("bpower", Fraction(5, 2), a=Fraction(1, 2))
         count, _ = _iter_tree(spec, 10_000, collect=False)
         # the budget bounds the members above 1
-        assert _iter_tree(spec, 10_000, collect=False, node_budget=count - 1)[0] == count
+        monkeypatch.setattr(families, "_NODE_BUDGET", count - 1)
+        assert _iter_tree(spec, 10_000, collect=False)[0] == count
+        monkeypatch.setattr(families, "_NODE_BUDGET", count - 2)
         with pytest.raises(ResourceLimitError):
-            _iter_tree(spec, 10_000, collect=False, node_budget=count - 2)
+            _iter_tree(spec, 10_000, collect=False)
+        monkeypatch.setattr(families, "_NODE_BUDGET", 5)
         with pytest.raises(ResourceLimitError):
-            _iter_tree(FamilySpec("dense", Y2, i=2), 10_000, collect=True, node_budget=5)
+            _iter_tree(FamilySpec("dense", Y2, i=2), 10_000, collect=True)
 
     def test_squarefree_is_filtered_plain(self):
         spec = FamilySpec("bpower", Fraction(3), a=Fraction(1, 2))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -64,6 +67,24 @@ class TestNegIntHelper:
         a, s = Fraction(1, 2), complex(-1.5, 0.0)
         assert gzero._g_exact_or_series(a, s) == g_eval_series(a, s)[0]
         assert gzero._g_exact_or_series(a, complex(-1.0, 1e-3)) == g_eval_series(a, complex(-1.0, 1e-3))[0]
+
+    @pytest.mark.parametrize("v, noise", [
+        (complex(math.nan, math.nan), math.nan),
+        (complex(math.inf, 0.0), 1e-16),
+        (1.0 + 0j, math.inf),
+        (1.0 + 0j, math.nan),
+        (1.0 + 0j, 0.03),  # below 50x its noise
+    ])
+    def test_margin_falls_back_past_a_non_finite_or_noisy_float(self, monkeypatch, v, noise):
+        a, s = Fraction(1, 2), complex(-1.5, 0.0)
+        monkeypatch.setattr(gzero, "_g_series_float", lambda a_, s_: (v, noise))
+        assert gzero._g_exact_or_series(a, s, margin=50.0) == g_eval_series(a, s)[0]
+
+    def test_margin_keeps_a_clear_float(self, monkeypatch):
+        a, s = Fraction(1, 2), complex(-1.5, 0.0)
+        monkeypatch.setattr(gzero, "_g_series_float", lambda a_, s_: (1.0 + 0j, 0.02))
+        assert gzero._g_exact_or_series(a, s, margin=50.0) == 1.0 + 0j
+        assert gzero._g_exact_or_series(a, s) == g_eval_series(a, s)[0]
 
 
 class TestSeriesRoute:
@@ -170,30 +191,43 @@ class TestH2Panels:
         # weights from the shared unit-panel E1 values are bit-identical to
         # evaluating E1 at each node for this a alone
         a, dps = Fraction(1, 10), 40
-        panels = gzero._H2Cache().get(a, dps, 3.0)
         with mp.workdps(dps + 8):
             z = mp.mpf(10)
             nodes01 = gzero.GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)
-            for lo, hi, lnxs, ws in panels:
-                lo_m, hi_m = mp.mpf(lo), mp.mpf(hi)
+            for m in (1, 2, 7):
+                lnxs, ws = gzero._h2_panel(a, dps, m)
+                assert len(ws) == len(nodes01) == 24
+                # log u (and E1) are one evaluation shared by every a
+                assert gzero._h2_panel(Fraction(1, 3), dps, m)[0] is lnxs
+                lo_m, hi_m = mp.mpf(m), mp.mpf(m + 1)
                 mid, half = (lo_m + hi_m) / 2, (hi_m - lo_m) / 2
                 for (x, w), lnx, wt in zip(nodes01, lnxs, ws):
                     u = mid + half * x
                     assert lnx == mp.log(u)
                     assert wt == w * half * mp.exp(-u * z + mp.e1(u))
-        assert panels[-1][1] == 1.0 + 55 * math.log(10) / 10
 
-    def test_store_is_bounded(self):
-        cache = gzero._H2Cache(maxsize=2)
-        for i in (2, 3, 4):
-            cache.get(Fraction(1, i), 20, 3.0)
-        assert list(cache._store) == [(Fraction(1, 3), 20), (Fraction(1, 4), 20)]
+    def test_value_does_not_depend_on_earlier_calls(self):
+        # a fresh process, and this one after a call at s = 40 (which reads
+        # panels much further right), give the same mp value
+        code = (
+            "from fractions import Fraction\nimport mpmath as mp\nfrom densediv import gzero\n"
+            "with mp.workdps(40):\n"
+            "    print(repr(gzero._h2_eval(Fraction(1, 3), mp.mpc(-4.3, 1.1), 40)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, check=True, timeout=120).stdout.strip()
+        with mp.workdps(40):
+            gzero._h2_eval(Fraction(1, 3), mp.mpf(40), 40)
+            assert repr(gzero._h2_eval(Fraction(1, 3), mp.mpc(-4.3, 1.1), 40)) == fresh
 
     def test_process_caches_are_bounded(self):
-        # each holds at least the ten a = 1/i of one find_lambda round
-        assert gzero._H2.maxsize >= 10
-        for f in (find_lambda, gzero._h2_float_nodes, gzero._e1_unit_panel):
+        for f in (find_lambda, gzero._h2_float_nodes, gzero._e1_unit_panel, gzero._h2_panel):
             assert 10 <= f.cache_info().maxsize < 10_000
+        # the unit panels of one find_lambda round over the ten a = 1/i fit:
+        # for Re s <= 0 the sum stops by u = 1 + 50 ln(10) a
+        panels = sum(math.ceil(1 + 50 * math.log(10) / i) for i in range(1, 11))
+        assert gzero._h2_panel.cache_info().maxsize >= panels
 
 
 class TestFloatRouteNoise:
@@ -295,6 +329,55 @@ class TestFindLambda:
         assert find_lambda(1, None) is cert
         assert find_lambda.cache_info().misses == misses
 
+    def test_bisection_below_the_margin(self, monkeypatch):
+        # noise inflated on the real axis sends every bisection sample to the
+        # series route in high precision; the signs, so lambda, stay the same
+        a = Fraction(1, 3)
+        cert = find_lambda(a)
+        orig = gzero._g_series_float
+
+        def noisy(a_, s):
+            v, noise = orig(a_, s)
+            return v, 1e30 * noise if s.imag == 0.0 else noise
+
+        monkeypatch.setattr(gzero, "_g_series_float", noisy)
+        calls = []
+        orig_mp = gzero.g_eval_series
+
+        def counting(a_, s, **kw):
+            calls.append(s)
+            return orig_mp(a_, s, **kw)
+
+        monkeypatch.setattr(gzero, "g_eval_series", counting)
+        again = gzero._find_lambda.__wrapped__(a, None)
+        assert (again.lam, again.residual) == (cert.lam, cert.residual)
+        lo, hi = cert.bracket
+        # 34 bisection samples, then the secant's and the residual's
+        assert sum(1 for s in calls if s.imag == 0.0 and lo < -s.real < hi) >= 34 + 3
+
+    def test_float_route_nan_in_the_bracket(self):
+        # at a = 1/60 the float route is NaN near s = -204; the NaN must not be
+        # read as a sign, and C comes from two finite routes
+        a = Fraction(1, 60)
+        v, noise = gzero._g_series_float(a, complex(-204.4, 0.0))
+        assert not (math.isfinite(abs(v)) and math.isfinite(noise))
+        cert = find_lambda(a)
+        assert 204 < cert.lam < 205 and cert.bracket == (204, 205)
+        assert cert.residual < 1e-15
+        assert math.isfinite(cert.C) and cert.C > 0
+
+    def test_scan_stops_where_the_series_route_ends(self):
+        # the last bracket end whose every sample (contour included) keeps
+        # K <= _BMAX, and one past it
+        a = Fraction(1, 100)
+        n = gzero._SCAN_MAX
+        assert g_eval_neg_int(a, n) > 0
+        g_eval_series(a, complex(-n - gzero._CONTOUR_R, 0.0))
+        with pytest.raises(DomainError):
+            g_eval_series(a, complex(-n - 1 - gzero._CONTOUR_R, 0.0))
+        with pytest.raises(DomainError, match=f"up to n={n} for a=1/100"):
+            find_lambda(a)
+
     def test_nonpositive_start_raises(self, monkeypatch):
         # the sign scan needs g_a(0) a e^gamma > 0; an explicit error, not an assert
         from densediv import gzero, specfun
@@ -395,6 +478,25 @@ class TestResidue:
         monkeypatch.setattr(gzero, "_g_series_float", skewed)
         with pytest.raises(NumericalConsistencyError, match="residue routes disagree"):
             residue_C(a, cert.lam, dps=self._dps(a))
+
+
+    @pytest.mark.parametrize("route", ["contour", "derivative"])
+    def test_nan_on_one_route_raises(self, monkeypatch, route):
+        a = Fraction(1, 2)
+        lam = find_lambda(a).lam
+        orig = gzero._g_exact_or_series
+        nan = complex(math.nan, math.nan)
+        if route == "contour":
+            monkeypatch.setattr(gzero, "_g_exact_or_series", lambda *args, **kw: nan)
+        else:
+            # the complex step and the mp differences at -lambda +- h
+            monkeypatch.setattr(gzero, "_complex_step_derivative", lambda a_, x: (math.nan, math.nan))
+            monkeypatch.setattr(
+                gzero, "_g_exact_or_series",
+                lambda a_, s, *args, **kw: nan if abs(s + lam) < 1e-3 else orig(a_, s, *args, **kw),
+            )
+        with pytest.raises(NumericalConsistencyError, match="residue routes disagree"):
+            residue_C(a, lam, dps=self._dps(a))
 
 
 class TestHBound:
