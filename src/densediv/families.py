@@ -160,18 +160,31 @@ def _keep_pairs(kind: str, i: int) -> list[tuple[int, int]]:
     n is in the level iff, for each pair, the divisors d with d in level j
     and n/d in level k run from 1 to n with no ratio above y.  Dense(i) keeps
     (i - 1, 0); StrongDense(i) keeps every pair, but (j, k) and (k, j) keep
-    the mirror images d <-> n/d, y-dense together, so j <= k is enough.
+    the mirror images d <-> n/d, y-dense together, so j >= k is enough.  Then
+    j >= 1 for i >= 2: every kept d is in level 1.
     """
     if kind == "dense":
         return [(i - 1, 0)]
-    return [(j, i - 1 - j) for j in range((i + 1) // 2)]
+    return [(i - 1 - k, k) for k in range((i + 1) // 2)]
+
+
+# the entries each memo of one oracle keeps; past it the oldest entry goes
+_MEMO_CAP = 1 << 18
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= _MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 class FamilyOracle:
     """Memoized Dense/StrongDense membership for one y.
 
     Caches are value-keyed, so repeated divisor lookups across queries
-    share work; safe to reuse across calls with the same y.
+    share work; safe to reuse across calls with the same y.  Each memo holds
+    at most _MEMO_CAP entries.
     """
 
     def __init__(self, y: Fraction):
@@ -183,10 +196,7 @@ class FamilyOracle:
 
     def _divisors(self, n: int) -> list[int]:
         d = self._divs.get(n)
-        if d is None:
-            d = divisors(factorize(n))
-            self._divs[n] = d
-        return d
+        return d if d is not None else _remember(self._divs, n, divisors(factorize(n)))
 
     def member(self, kind: str, n: int, i: int) -> bool:
         """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of level i."""
@@ -210,8 +220,7 @@ class FamilyOracle:
                     last = d
             if not ok:
                 break
-        memo[key] = ok
-        return ok
+        return _remember(memo, key, ok)
 
 
 # The oracles of the most recently used y values, least recent first.
@@ -373,6 +382,53 @@ def _windows(N: int):
         yield (slice(lo, hi), *divisor_lists(lo, hi))
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[g], starts[g] + 1, ..., counts[g] values for each group g in turn, int32."""
+    ends = np.cumsum(counts)
+    offsets = np.repeat((starts - ends + counts).astype(np.int32), counts)
+    return np.arange(len(offsets), dtype=np.int32) + offsets
+
+
+def _owner_keys(n: np.ndarray, d: np.ndarray, first: np.ndarray, lo: int, b: int) -> np.ndarray:
+    """(n - lo) << b | d in int64, for the pairs (n, d) with n in level 1."""
+    keep = first[n]
+    key = n[keep].astype(np.int64)
+    key -= lo
+    key <<= b
+    key |= d[keep]
+    return key
+
+
+def _level1_pairs(first: np.ndarray, N: int):
+    """Owners 1..N a window at a time: their slice, and the int32 pairs (n, d),
+    d | n, with n in the window and both n and d in level 1 (the mask first),
+    sorted by n, then d.  With r = isqrt(hi - 1), a d <= r lists its multiples
+    in the window, and a d > r is n/m for a cofactor m <= r, found as a run of
+    level 1 between lo/m and (hi - 1)/m.  Every divisor of an owner lies in
+    its window or an earlier one."""
+    F = np.flatnonzero(first).astype(np.int32)  # level 1, increasing
+    w = _window_width(N)
+    for lo in range(1, N + 1, w):
+        hi = min(lo + w, N + 1)
+        r, b = math.isqrt(hi - 1), (hi - 1).bit_length()
+        small = F[: np.searchsorted(F, r, "right")]
+        k0 = (lo - 1) // small + 1  # the least multiplier putting d k in the window
+        c = (hi - 1) // small - k0 + 1
+        d = np.repeat(small, c)
+        key = _owner_keys(d * _ranges(k0, c), d, first, lo, b)
+        m = np.arange(1, (hi - 1) // (r + 1) + 1, dtype=np.int32)
+        a = np.searchsorted(F, np.maximum(r + 1, -(-lo // m)))
+        c = np.maximum(np.searchsorted(F, (hi - 1) // m, "right") - a, 0)
+        d = F[_ranges(a, c)]
+        key = np.concatenate((key, _owner_keys(d * np.repeat(m, c), d, first, lo, b)))
+        key.sort()  # owner-major, then divisor
+        n, d = np.empty_like(key, np.int32), np.empty_like(key, np.int32)
+        np.right_shift(key, b, out=n, casting="unsafe")
+        np.bitwise_and(key, (1 << b) - 1, out=d, casting="unsafe")
+        n += lo
+        yield slice(lo, hi), n, d
+
+
 def _not_y_dense(own, d, kept, py: int, qy: int, bound: int) -> np.ndarray:
     """Owners with two consecutive kept divisors d < d', d' qy > d py, in one window's
     rows (divisors d, sorted per owner, of the owners own); bound holds d py, d qy."""
@@ -390,9 +446,11 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
     the chain family theta(m) = y m (Tenenbaum), ThetaUpper(1) without n = 0.
     Dense(i) and StrongDense(i), i >= 2, hold n when, for each keep pair
     (j, k) of level i, n is in levels j and k and the d in level j with n/d
-    in level k are y-dense.  Level i lies within level i - 1, so its check
-    reads only the divisor rows of owners in level i - 1.  Each window's
-    rows are built once and serve every kind, levels 2..imax in order.
+    in level k are y-dense.  Level i lies within level i - 1 and every kept d
+    lies in level 1 (_keep_pairs), so the check reads only the divisor pairs
+    with owner and divisor in level 1.  Each window's pairs are built once and
+    serve every kind, levels 2..imax in order, each level the pairs of the
+    owners in the level below.
     """
     if N < 1 or imax < 0:
         raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
@@ -422,17 +480,16 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
     levels = {kind: [ones] + [chain(steps[kind], i) for i in range(1, imax + 1)]
               for kind in kinds if kind not in _D_KINDS}
     first = chain(steps["thetaupper"], 1) & (n > 0)
-    del n, lpf, parent  # the window loop reads no array over every n but the levels
+    del n, lpf, parent  # the window loop reads, of the arrays over every n, only the levels
     dense = {kind: [ones, first, *(first.copy() for _ in range(2, imax + 1))][: imax + 1]
              for kind in kinds if kind in _D_KINDS}
     bound = N * max(py, qy)
-    for w, start, d in _windows(N) if imax > 1 else ():
-        counts = np.diff(start)  # the divisors of each owner
+    for w, n, d in _level1_pairs(first, N) if imax > 1 else ():
         for kind, L in dense.items():
+            o, dl = n, d
             for i in range(2, imax + 1):
-                alive = L[i - 1][w]  # the owners o in level i - 1, and their divisors dl
-                o = np.repeat(w.start + np.flatnonzero(alive), counts[alive])
-                dl = d[np.repeat(alive, counts)]
+                alive = L[i - 1][o]  # the pairs of the owners o in level i - 1
+                o, dl = o[alive], dl[alive]
                 for j, k in _keep_pairs(kind, i):
                     L[i][w] &= L[j][w] & L[k][w]
                     kept = L[j][dl] if k == 0 else L[j][dl] & L[k][o // dl]

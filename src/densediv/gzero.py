@@ -47,9 +47,16 @@ _BMAX = 258  # b_k available up to this index; series cap K <= _BMAX
 class ZeroCertificate:
     """Evidence for the right-most real zero -lambda_a of g_a.
 
-    bracket carries the integer interval with exact-rational sign evidence
-    (degenerate (n, n) when the zero is exactly at -n); residual is
-    |a e^gamma g_a(-lambda)|; zero_free lists (rectangle, winding) pairs.
+    bracket = (n - 1, n): the exact rationals g_a(-m) a e^gamma are positive
+    at m = 0..n - 1 and not at m = n (bracket_signs holds the last two), so
+    -n is the first non-positive integer where the sign changes, and g_a has
+    a zero in [-n, -(n - 1)] (degenerate (n, n) when g_a(-n) = 0).  lam is
+    that zero, by bisection and secant polish inside the bracket; residual is
+    |a e^gamma g_a(-lam)|; C = 1/g_a'(-lam) from the residue contour, checked
+    against the derivative.  A certificate does not show that no zero lies
+    between two integers or off the real axis right of -lam: zero_free holds
+    (rectangle, winding) pairs only when a caller passes them, and the
+    package passes none, so "zero_free_rects" is empty.
     """
 
     a: Fraction

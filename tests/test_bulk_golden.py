@@ -1,8 +1,10 @@
-"""The bulk arrays against digests stored in tests/golden/bulk_digests.json.
+"""The bulk arrays against digests stored in tests/golden/bulk_digests.json,
+and the Dense/StrongDense counts against tests/golden/count_grid.json.
 
 The digests pin every membership_tables level and the Schinzel-Szekeres
 masks behind count_A_beta and check_ssf_identity, so a change to how the
 divisor rows are built or scanned cannot change a single byte unnoticed.
+The grid pins count_members at x = 2e5 over y, i, kind and squarefree.
 Regenerate (only after an intended change of output) with
 
     PYTHONPATH=src python tests/test_bulk_golden.py
@@ -19,6 +21,7 @@ import pytest
 from densediv import families
 
 GOLDEN = Path(__file__).parent / "golden" / "bulk_digests.json"
+GRID = Path(__file__).parent / "golden" / "count_grid.json"
 
 TABLE_CASES = [(10**5, Fraction(y), 4) for y in ("2", "5/2", "3", "10")]
 TABLE_CASES.append((10**4, Fraction(2), 16))
@@ -45,6 +48,16 @@ def ssf_digests(x: int, y: Fraction, beta: Fraction) -> dict:
     id_mask = families._ssf_identity(x, y, beta)[0]  # F_beta(n) <= n y^beta
     return {"count_A_beta": _sha(np.asarray(a_mask, dtype=bool).tobytes()),
             "ssf_identity": _sha(np.asarray(id_mask, dtype=bool).tobytes())}
+
+
+GRID_X = 2 * 10**5
+GRID_YS = ("3/2", "2", "5/2", "10", "50")
+
+
+def grid_counts(ys: str) -> dict:
+    return {_key(kind, i, ys, "sf" if sf else "plain"):
+            families.count_members(families.FamilySpec(kind, Fraction(ys), i=i, squarefree=sf), GRID_X)
+            for i in (3, 4, 10) for kind in ("dense", "strongdense") for sf in (False, True)}
 
 
 def _key(*parts) -> str:
@@ -74,5 +87,13 @@ def test_ssf_mask_digests(golden, x, y, beta):
     assert ssf_digests(x, y, beta) == golden["ssf_within"][_key(x, y, beta)]
 
 
+@pytest.mark.parametrize("ys", GRID_YS)
+def test_count_grid(ys):
+    grid = json.loads(GRID.read_text())
+    assert grid_counts(ys) == {k: v for k, v in grid.items() if k.split()[2] == ys}
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(compute_all(), indent=1, sort_keys=True) + "\n")
+    grid = {k: v for ys in GRID_YS for k, v in grid_counts(ys).items()}
+    GRID.write_text(json.dumps(grid, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,14 +230,27 @@ def _bulk_arrays(N):
     return out
 
 
-@pytest.mark.parametrize("width", [1, 7, 64])
+@pytest.mark.parametrize("width", [1, 7, 26, 64])
 def test_window_width_leaves_bulk_arrays_unchanged(monkeypatch, width):
-    # seams after every owner, inside the rows of small n, and at one window
-    # per 64 owners: the scans read each owner's row whole in one window
+    # seams after every owner, inside the rows of small n, near isqrt(N), where
+    # the level 1 pairs switch from multiples of d to cofactors m, and at one
+    # window per 64 owners: the scans read each owner's row whole in one window
     N = 700
     default = _bulk_arrays(N)
     monkeypatch.setattr(families, "_window_width", lambda N: width)
+    pair_windows = []
+
+    def recording(first, N):
+        for w, n, d in level1_pairs(first, N):
+            pair_windows.append((w.start, w.stop))
+            assert np.all((n >= w.start) & (n < w.stop) & (n % d == 0))
+            yield w, n, d
+
+    level1_pairs = families._level1_pairs
+    monkeypatch.setattr(families, "_level1_pairs", recording)
     assert _bulk_arrays(N) == default
+    seams = sorted(set(pair_windows))
+    assert seams == [(lo, min(lo + width, N + 1)) for lo in range(1, N + 1, width)]
 
 
 def test_tables_are_read_only_bool_arrays():
@@ -319,6 +333,20 @@ class TestOracleCache:
         assert families._ORACLES[y] is orc
         assert (2, 18) in orc._strong
 
+    def test_memos_are_bounded(self, monkeypatch):
+        # one member_queries round fills at most ~16k entries per memo, far
+        # below _MEMO_CAP; a small cap evicts the oldest and keeps every answer
+        y = Fraction(5, 2)
+        fresh = FamilyOracle(y)
+        expect = [fresh.member(kind, n, i) for kind in ("dense", "strongdense")
+                  for i in (2, 3, 5) for n in range(1, 800)]
+        monkeypatch.setattr(families, "_MEMO_CAP", 40)
+        orc = FamilyOracle(y)
+        got = [orc.member(kind, n, i) for kind in ("dense", "strongdense")
+               for i in (2, 3, 5) for n in range(1, 800)]
+        assert got == expect
+        assert max(len(orc._dense), len(orc._strong), len(orc._divs)) == 40
+
 
 class TestEnumerationConsistency:
     def test_dense2_fast_path_matches_filter(self):
@@ -358,6 +386,23 @@ class TestEnumerationConsistency:
         members = enumerate_members(spec, x)
         assert members == [n for n in range(1, x + 1) if is_member(n, spec)]
         assert count_members(spec, x) == len(members)
+
+    def test_bulk_route_builds_no_divisor_rows(self, monkeypatch):
+        # Dense/StrongDense levels read the divisor pairs inside level 1, not
+        # every owner's divisor rows
+        from densediv import integers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bulk route built divisor rows")
+
+        monkeypatch.setattr(integers, "divisor_lists", refuse)
+        monkeypatch.setattr(families, "divisor_lists", refuse)
+        for kind, i in (("dense", 3), ("strongdense", 4)):
+            for squarefree in (False, True):
+                spec = FamilySpec(kind, Fraction(5, 2), i=i, squarefree=squarefree)
+                assert count_members(spec, 5000) == len(enumerate_members(spec, 5000)) > 1
+        t = families.membership_tables(5000, Fraction(5, 2), 4)
+        assert t["dense"][4].sum() > 1 and t["strongdense"][4].sum() > 1
 
     def test_bulk_route_calls_no_oracle_and_no_tree(self, monkeypatch):
         def refuse(*args, **kwargs):
