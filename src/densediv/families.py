@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .integers import (
+    DEFAULT_DIVISOR_CAP,
     FactoredInteger,
     divisor_lists,
     divisors,
@@ -180,7 +181,15 @@ def _remember(memo: dict, key, value):
 
 
 class FamilyOracle:
-    """Memoized Dense/StrongDense membership for one y.
+    """Memoized Dense/StrongDense membership for one y, read from level-1 divisors.
+
+    Level 1, the y-densely divisible n, is the chain family p_j <= y p_1...p_{j-1}
+    (Tenenbaum), so the level-1 divisors of n grow prime by prime from its
+    factorization: a level-1 divisor t takes the next prime p while p <= y t.
+    n is in level 1 iff it is the last of its level-1 divisors.  Every level
+    i >= 2 lies within level 1, and every kept divisor d of a keep pair (j, k)
+    lies in level j >= 1 (_keep_pairs), so the y-dense check of each pair
+    scans only the level-1 divisors of n.
 
     Caches are value-keyed, so repeated divisor lookups across queries
     share work; safe to reuse across calls with the same y.  Each memo holds
@@ -194,9 +203,24 @@ class FamilyOracle:
         self._strong: dict[tuple[int, int], bool] = {}
         self._divs: dict[int, list[int]] = {}
 
-    def _divisors(self, n: int) -> list[int]:
-        d = self._divs.get(n)
-        return d if d is not None else _remember(self._divs, n, divisors(factorize(n)))
+    def _level1_divisors(self, n: int) -> list[int]:
+        """The divisors of n in level 1, increasing; refuses n with more than
+        DEFAULT_DIVISOR_CAP divisors before any list is built."""
+        divs = self._divs.get(n)
+        if divs is not None:
+            return divs
+        f = factorize(n)
+        tau = f.divisor_count()
+        if tau > DEFAULT_DIVISOR_CAP:
+            raise ResourceLimitError(f"{n} has {tau} divisors, cap is {DEFAULT_DIVISOR_CAP}")
+        divs, py, qy = [1], self.py, self.qy
+        for p, e in f.factors:  # primes rising: a level-1 t with p <= y t takes p, ..., p^e
+            grow = [t for t in divs if p * qy <= py * t]
+            for _ in range(e):
+                grow = [t * p for t in grow]
+                divs += grow
+        divs.sort()
+        return _remember(self._divs, n, divs)
 
     def member(self, kind: str, n: int, i: int) -> bool:
         """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of level i."""
@@ -207,13 +231,14 @@ class FamilyOracle:
         ok = memo.get(key)
         if ok is not None:
             return ok
-        ok, py, qy, member = True, self.py, self.qy, self.member
-        for j, k in _keep_pairs(kind, i):
+        divs = self._level1_divisors(n)
+        ok, py, qy, member = divs[-1] == n, self.py, self.qy, self.member
+        for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
             # the kept divisors start at 1 (n in level k) and end at n (n in level j)
             ok = member(kind, n, k) and member(kind, n, j)
             last = 1
-            for d in self._divisors(n) if ok else ():
-                if (j == 0 or member(kind, d, j)) and (k == 0 or member(kind, n // d, k)):
+            for d in divs if ok else ():
+                if member(kind, d, j) and (k == 0 or member(kind, n // d, k)):
                     if d * qy > last * py:
                         ok = False
                         break
@@ -399,6 +424,19 @@ def _owner_keys(n: np.ndarray, d: np.ndarray, first: np.ndarray, lo: int, b: int
     return key
 
 
+def _indices_int32(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask) as int32, 2^16 entries of the mask at a time: no
+    int64 index array spans more than one block."""
+    out = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    end, block = 0, 1 << 16
+    for lo in range(0, len(mask), block):
+        idx = np.flatnonzero(mask[lo : lo + block])
+        out[end : end + len(idx)] = idx
+        out[end : end + len(idx)] += lo
+        end += len(idx)
+    return out
+
+
 def _level1_pairs(first: np.ndarray, N: int):
     """Owners 1..N a window at a time: their slice, and the int32 pairs (n, d),
     d | n, with n in the window and both n and d in level 1 (the mask first),
@@ -406,7 +444,7 @@ def _level1_pairs(first: np.ndarray, N: int):
     in the window, and a d > r is n/m for a cofactor m <= r, found as a run of
     level 1 between lo/m and (hi - 1)/m.  Every divisor of an owner lies in
     its window or an earlier one."""
-    F = np.flatnonzero(first).astype(np.int32)  # level 1, increasing
+    F = _indices_int32(first)  # level 1, increasing
     w = _window_width(N)
     for lo in range(1, N + 1, w):
         hi = min(lo + w, N + 1)

@@ -365,6 +365,18 @@ class TestVerifyAndDeterminism:
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert "Traceback" not in r.output
 
+    def test_divisor_cap_exit_code(self, runner):
+        # the product of the first 21 primes has 2**21 divisors, past the cap
+        primorial = 1
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73):
+            primorial *= p
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["member", "--family", "dense", "--i", "2", "--y", "2",
+                                 "--n", str(primorial)])
+        assert r.exit_code == 3
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
+
     def test_bulk_budget_exit_code(self, runner):
         # N = 5e7 passes the sieve's budget, not the membership tables'
         t0 = time.monotonic()

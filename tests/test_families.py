@@ -142,14 +142,24 @@ class TestSandwichSmall:
             assert bytes(de[i]) == bytes(st_[i])
 
     def test_tenenbaum_characterization(self):
-        # Dense(1) by its definition equals the chain family with theta(n) = y n,
-        # n <= 1e5; the tables take Dense(1) from that chain, so they are not the judge
+        # Dense(1) by its definition equals the chain family with theta(n) = y n
+        # and the oracle's level 1, n <= 1e5.  The judge shares no package code:
+        # a divisor sieve meets the divisors of each n in increasing order, and
+        # n is y-dense when no two consecutive ones have a ratio above y
         N = 100_000
         for y in (Y2, Fraction(3)):
+            py, qy = y.numerator, y.denominator
+            last = np.ones(N + 1, dtype=np.int64)
+            by_def = np.ones(N + 1, dtype=bool)
+            for d in range(2, N + 1):
+                multiples = slice(d, N + 1, d)
+                by_def[multiples] &= d * qy <= last[multiples] * py
+                last[multiples] = d
             orc = FamilyOracle(y)
             spec = FamilySpec("bpower", y, a=Fraction(1))
-            for n in range(1, N + 1):
-                assert orc.member("dense", n, 1) == is_member(n, spec), (n, y)
+            oracle = [orc.member("dense", n, 1) for n in range(1, N + 1)]
+            chain = [is_member(n, spec) for n in range(1, N + 1)]
+            assert oracle == chain == by_def[1:].tolist(), y
 
     def test_nesting_and_small_i_equality_full_range(self):
         # Dense(i+1) within Dense(i) (same for strong) and Dense == StrongDense
@@ -333,6 +343,39 @@ class TestOracleCache:
         assert families._ORACLES[y] is orc
         assert (2, 18) in orc._strong
 
+    def test_oracle_builds_no_full_divisor_list(self, monkeypatch):
+        # the oracle reads only the level-1 divisors of each n it reaches
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a full divisor list")
+
+        monkeypatch.setattr(families, "divisors", refuse)
+        orc = FamilyOracle(Y2)
+        assert orc.member("dense", 8424, 3) and not orc.member("strongdense", 8424, 3)
+        assert orc.member("dense", 65520, 4) and not orc.member("strongdense", 65520, 4)
+
+        def y_dense(m):  # no two consecutive divisors of m with a ratio above 2
+            ds = [e for e in range(1, m + 1) if m % e == 0]
+            return all(b <= 2 * a for a, b in zip(ds, ds[1:]))
+
+        assert orc._divs[8424] == [d for d in range(1, 8425) if 8424 % d == 0 and y_dense(d)]
+
+    def test_divisor_cap_refuses_before_building(self, monkeypatch):
+        # n with more than DEFAULT_DIVISOR_CAP divisors is refused at every
+        # level i >= 1, as the full divisor list refused it
+        primorial = math.prod(p for p in range(2, 74) if all(p % q for q in range(2, p)))
+        assert factorize(primorial).divisor_count() == 2**21
+        for kind in ("dense", "strongdense"):
+            orc = FamilyOracle(Y2)
+            with pytest.raises(ResourceLimitError):
+                orc.member(kind, primorial, 2)
+            assert not orc._divs
+        monkeypatch.setattr(families, "DEFAULT_DIVISOR_CAP", 8)
+        orc = FamilyOracle(Y2)
+        assert orc.member("dense", 30, 1) and orc.member("strongdense", 24, 2)
+        for n, i in ((60, 1), (48, 3)):
+            with pytest.raises(ResourceLimitError):
+                orc.member("dense", n, i)
+
     def test_memos_are_bounded(self, monkeypatch):
         # one member_queries round fills at most ~16k entries per memo, far
         # below _MEMO_CAP; a small cap evicts the oldest and keeps every answer
@@ -346,6 +389,26 @@ class TestOracleCache:
                for i in (2, 3, 5) for n in range(1, 800)]
         assert got == expect
         assert max(len(orc._dense), len(orc._strong), len(orc._divs)) == 40
+
+
+_PRIMES_TO_60 = [p for p in range(2, 61) if all(p % q for q in range(2, p))]
+_REFERENCES = {y: DefinitionReference(y) for y in (Fraction(3, 2), Y2, Fraction(5, 2), Fraction(10))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents=st.lists(st.integers(0, 4), min_size=len(_PRIMES_TO_60), max_size=len(_PRIMES_TO_60)),
+       y=st.sampled_from(sorted(_REFERENCES)), kind=st.sampled_from(["dense", "strongdense"]),
+       i=st.integers(1, 5))
+def test_oracle_matches_definition_on_many_divisors(exponents, y, kind, i):
+    # n <= 1e7 from primes <= 60, smallest first, each prime while it fits:
+    # the many-divisor n (tau(n) up to ~300) of the single queries, far past
+    # the n <= 2000 of the table cross-check
+    n = 1
+    for p, e in zip(_PRIMES_TO_60, exponents):
+        for _ in range(e):
+            if n * p <= 10**7:
+                n *= p
+    assert FamilyOracle(y).member(kind, n, i) == _REFERENCES[y].member(kind, n, i)
 
 
 class TestEnumerationConsistency:
