@@ -24,7 +24,6 @@ from .errors import DomainError, ResourceLimitError
 from .integers import (
     DEFAULT_DIVISOR_CAP,
     FactoredInteger,
-    divisor_lists,
     divisors,
     factorize,
     primes_upto,
@@ -203,13 +202,14 @@ class FamilyOracle:
         self._strong: dict[tuple[int, int], bool] = {}
         self._divs: dict[int, list[int]] = {}
 
-    def _level1_divisors(self, n: int) -> list[int]:
-        """The divisors of n in level 1, increasing; refuses n with more than
-        DEFAULT_DIVISOR_CAP divisors before any list is built."""
+    def _level1_divisors(self, n: int, f: FactoredInteger | None) -> list[int]:
+        """The divisors of n in level 1, increasing, from f, n's factorization
+        or None; refuses n with more than DEFAULT_DIVISOR_CAP divisors before
+        any list is built."""
         divs = self._divs.get(n)
         if divs is not None:
             return divs
-        f = factorize(n)
+        f = f or factorize(n)
         tau = f.divisor_count()
         if tau > DEFAULT_DIVISOR_CAP:
             raise ResourceLimitError(f"{n} has {tau} divisors, cap is {DEFAULT_DIVISOR_CAP}")
@@ -222,8 +222,9 @@ class FamilyOracle:
         divs.sort()
         return _remember(self._divs, n, divs)
 
-    def member(self, kind: str, n: int, i: int) -> bool:
-        """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of level i."""
+    def member(self, kind: str, n: int, i: int, f: FactoredInteger | None = None) -> bool:
+        """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of
+        level i; f, if given, is n's factorization, so n is not factorized again."""
         if i <= 0 or n == 1:
             return True
         memo = self._dense if kind == "dense" else self._strong
@@ -231,7 +232,7 @@ class FamilyOracle:
         ok = memo.get(key)
         if ok is not None:
             return ok
-        divs = self._level1_divisors(n)
+        divs = self._level1_divisors(n, f)
         ok, py, qy, member = divs[-1] == n, self.py, self.qy, self.member
         for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
             # the kept divisors start at 1 (n in level k) and end at n (n in level j)
@@ -270,7 +271,7 @@ def is_member(n: int | FactoredInteger, spec: FamilySpec) -> bool:
         return False
     if spec.kind in _B_KINDS:
         return _chain_member(spec, f)
-    return _oracle(spec.y).member(spec.kind, f.n, spec.i)
+    return _oracle(spec.y).member(spec.kind, f.n, spec.i, f)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +395,9 @@ def _blocks(N: int):
 
 
 def _window_width(N: int) -> int:
-    """Owners per divisor window: O(sqrt N) numpy calls build each window."""
+    """Owners per window of _level1_pairs and _ssf_within: O(sqrt N) numpy calls build
+    the pairs of each window."""
     return 50 * math.isqrt(N)
-
-
-def _windows(N: int):
-    """Owners 1..N a window at a time: their slice, and divisor_lists' offsets and
-    sorted divisors.  Every divisor of an owner lies in its window or an earlier one."""
-    w = _window_width(N)
-    for lo in range(1, N + 1, w):
-        hi = min(lo + w, N + 1)
-        yield (slice(lo, hi), *divisor_lists(lo, hi))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -597,11 +590,16 @@ def schinzel_szekeres(n: int | FactoredInteger, beta: Fraction | int) -> SSFValu
 def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.ndarray:
     """Mask over n = 0..N of key(F_beta(n)) * den <= num * n**e, exact.
 
-    One pass over the divisor rows, window by window: the key of n is the
-    row max of d**qb * P^-(d)**pb (beta = pb/qb, P^-(d) = spf[d]).  The
-    divisor d = 1 adds key 1, which is F_beta(1)'s and below every key of a
-    d > 1.  Products are int32, int64 or Python ints, sized by the largest
-    one compared.  Entry 0 is False.
+    The key of a divisor d is d**qb * P^-(d)**pb (beta = pb/qb).  For each
+    prime p | n, the largest divisor of n with least prime p is n_{>=p}, the
+    part of n on primes >= p.  So one pass steps m = n, n/P^-(n), ..., 1 with
+    P^-(m) = spf[m] and keeps the max of m**qb * spf[m]**pb: the steps reach
+    every n_{>=p}, and every other m they reach divides one of them with the
+    same least prime, so its key is smaller.  Each step shrinks m, so there
+    are at most Omega(n) steps.  The max starts at key 1, F_beta(1)'s.  The
+    pass runs window by window over _window_width(N) owners.  Products are
+    int32, int64 or Python ints, sized by the largest one compared.  Entry 0
+    is False.
     """
     if N < 1:
         raise DomainError("x must be >= 1")
@@ -610,10 +608,18 @@ def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.
     spf = sieve_spf(max(N, 2), _BULK_BUDGET // 9)  # 9 bytes per n: the sieve and the mask
     bound = max(N ** (qb + pb) * den, num * N**e)
     ok = np.zeros(N + 1, dtype=bool)
-    for w, start, d in _windows(N):
-        keys = _exact(d, bound) ** qb * _exact(spf[d], bound) ** pb
-        top = np.maximum.reduceat(keys, start[:-1])
-        ok[w] = top * den <= num * _exact(np.arange(w.start, w.stop), bound) ** e
+    width = _window_width(N)
+    for lo in range(1, N + 1, width):
+        n = np.arange(lo, min(lo + width, N + 1))
+        top = _exact(np.ones_like(n), bound)
+        at, m = np.arange(len(n)), n
+        while len(m):  # the owners n[at] are at m
+            p = spf[m]
+            top[at] = np.maximum(top[at], _exact(m, bound) ** qb * _exact(p, bound) ** pb)
+            m = m // p
+            live = m > 1
+            at, m = at[live], m[live]
+        ok[lo : lo + len(n)] = top * den <= num * _exact(n, bound) ** e
     return ok
 
 

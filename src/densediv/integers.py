@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
-# Budgets are deliberately conservative: inputs are desk-scale (<= ~1e12),
-# divisor lists are re-enumerated heavily by the recursive family tests.
+# Budgets are deliberately conservative: inputs are desk-scale (<= ~1e12).
+# The sieve holds 8 bytes per entry, 1 GiB at its budget; a divisor list
+# past the cap is refused before it is built.
 DEFAULT_SIEVE_BUDGET = 1 << 27
 DEFAULT_DIVISOR_CAP = 1 << 20
 # Trial division stops at this divisor: every n < 2**40 (~1.1e12) factors,
@@ -161,29 +162,3 @@ def divisors(f: FactoredInteger, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
     divs.sort()
     return divs
 
-
-def divisor_lists(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted divisors of every owner lo <= n < hi (lo >= 1) in CSR form:
-    those of n are ``flat[start[n - lo] : start[n - lo + 1]]``, with int64
-    ``start`` and int32 ``flat``.  Each d <= isqrt(hi - 1) writes itself at
-    its owners n >= d*d in the window, then (d falling) the cofactor n/d at
-    the owners n > d*d, through a per-owner cursor.
-    """
-    r = math.isqrt(hi - 1)
-
-    def owners(d: int, least: int) -> slice:  # window offsets of the owners n >= least
-        return slice(max(least, -(-lo // d) * d) - lo, hi - lo, d)
-
-    # d at the owners n >= d*d (d rising), then n/d at the owners n > d*d (d falling)
-    passes = [(d, d * d) for d in range(1, r + 1)] + [(d, d * (d + 1)) for d in range(r, 0, -1)]
-    start = np.zeros(hi - lo + 1, dtype=np.int64)  # first the divisor count of n at n - lo + 1
-    for d, least in passes:
-        start[1:][owners(d, least)] += 1
-    np.cumsum(start, out=start)
-    flat = np.empty(int(start[-1]), dtype=np.int32)
-    cursor = start[:-1].copy()
-    for j, (d, least) in enumerate(passes):
-        k = owners(d, least)
-        flat[cursor[k]] = d if j < r else np.arange(k.start + lo, hi, d) // d
-        cursor[k] += 1
-    return start, flat

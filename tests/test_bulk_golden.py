@@ -3,7 +3,8 @@ and the Dense/StrongDense counts against tests/golden/count_grid.json.
 
 The digests pin every membership_tables level and the Schinzel-Szekeres
 masks behind count_A_beta and check_ssf_identity, so a change to how the
-divisor rows are built or scanned cannot change a single byte unnoticed.
+level-1 divisor pairs or the prime steps are built or scanned cannot change
+a single byte unnoticed.
 The grid pins count_members at x = 2e5 over y, i, kind and squarefree.
 Regenerate (only after an intended change of output) with
 

@@ -271,8 +271,9 @@ def test_tables_are_read_only_bool_arrays():
 
 
 def test_ssf_within_memory_per_n():
-    # tracemalloc sees numpy buffers: the divisor rows of one window, not of
-    # every n <= N, are alive at once
+    # tracemalloc sees numpy buffers: the int64 sieve and the mask hold 9 bytes
+    # per n, and the prime steps of one window (about 7 B/n at this N) are all
+    # that is alive besides
     import tracemalloc
 
     N = 2 * 10**5
@@ -282,7 +283,7 @@ def test_ssf_within_memory_per_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120 * N, peak / N
+    assert peak < 32 * N, peak / N
 
 
 def test_bulk_budget(monkeypatch):
@@ -358,6 +359,24 @@ class TestOracleCache:
             return all(b <= 2 * a for a, b in zip(ds, ds[1:]))
 
         assert orc._divs[8424] == [d for d in range(1, 8425) if 8424 % d == 0 and y_dense(d)]
+
+    def test_is_member_factorizes_n_once(self, monkeypatch):
+        # is_member hands its factorization of n to the oracle: a cold oracle
+        # factorizes n once, and every divisor it reaches at most once
+        from collections import OrderedDict
+
+        calls = []
+
+        def counting(n, spf=None):
+            calls.append(n)
+            return factorize(n, spf)
+
+        monkeypatch.setattr(families, "factorize", counting)
+        for kind, n, i in (("dense", 8424, 3), ("strongdense", 65520, 4)):
+            monkeypatch.setattr(families, "_ORACLES", OrderedDict())
+            calls.clear()
+            assert is_member(n, FamilySpec(kind, Y2, i=i)) == (kind == "dense")
+            assert calls.count(n) == 1 and len(calls) == len(set(calls)) > 1
 
     def test_divisor_cap_refuses_before_building(self, monkeypatch):
         # n with more than DEFAULT_DIVISOR_CAP divisors is refused at every
@@ -450,16 +469,13 @@ class TestEnumerationConsistency:
         assert members == [n for n in range(1, x + 1) if is_member(n, spec)]
         assert count_members(spec, x) == len(members)
 
-    def test_bulk_route_builds_no_divisor_rows(self, monkeypatch):
-        # Dense/StrongDense levels read the divisor pairs inside level 1, not
-        # every owner's divisor rows
+    def test_bulk_route_builds_no_divisor_rows(self):
+        # Dense/StrongDense levels read the divisor pairs inside level 1; the
+        # package has no builder of every owner's divisor rows
         from densediv import integers
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the bulk route built divisor rows")
-
-        monkeypatch.setattr(integers, "divisor_lists", refuse)
-        monkeypatch.setattr(families, "divisor_lists", refuse)
+        for module in (integers, families):  # divisors(f), of one n, is the only divisor builder
+            assert [name for name in vars(module) if name.startswith("divisor")] == ["divisors"]
         for kind, i in (("dense", 3), ("strongdense", 4)):
             for squarefree in (False, True):
                 spec = FamilySpec(kind, Fraction(5, 2), i=i, squarefree=squarefree)
@@ -680,16 +696,20 @@ class TestABeta:
 
 
 def _a_beta_matches_single_n_route(x, y, beta):
-    """count_A_beta, plain and squarefree, against schinzel_szekeres at every n <= x."""
+    """count_A_beta, plain and squarefree, and the mask of F_beta(n) <= n y^beta
+    behind the identity checks, against schinzel_szekeres at every n <= x."""
     bound = x * y
-    qb = beta.denominator
-    inside = [
-        n for n in range(1, x + 1)
-        if schinzel_szekeres(n, beta).key * bound.denominator**qb <= bound.numerator**qb
-    ]
+    pb, qb = beta.numerator, beta.denominator
+    keys = [schinzel_szekeres(n, beta).key for n in range(1, x + 1)]
+    inside = [n for n, key in zip(range(1, x + 1), keys)
+              if key * bound.denominator**qb <= bound.numerator**qb]
     assert count_A_beta(x, y, beta) == len(inside)
     sf = sum(1 for n in inside if factorize(n).is_squarefree)
     assert count_A_beta(x, y, beta, squarefree=True) == sf
+    y = max(y, 2)  # the identity needs y >= 2
+    ok, _ = families._ssf_identity(x, y, beta)
+    assert ok.tolist() == [False] + [key * y.denominator**pb <= n**qb * y.numerator**pb
+                                     for n, key in zip(range(1, x + 1), keys)]
 
 
 class TestSquarefreeThreshold:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +8,6 @@ from densediv.errors import DomainError, ResourceLimitError
 from densediv.integers import (
     FactoredInteger,
     divisors,
-    divisor_lists,
     factorize,
     primes_upto,
     sieve_spf,
@@ -111,27 +109,6 @@ class TestDivisors:
         f = factorize(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19)
         with pytest.raises(ResourceLimitError):
             divisors(f, cap=100)
-
-
-def test_divisor_lists_consistent():
-    start, flat = divisor_lists(1, 501)
-    assert start.dtype == np.int64 and flat.dtype == np.int32
-    assert start[0] == 0 and start[-1] == len(flat) and len(start) == 501
-    for n in range(1, 501):
-        assert flat[start[n - 1] : start[n]].tolist() == divisors(factorize(n)), n
-
-
-@given(st.integers(1, 4999), st.one_of(st.integers(1, 70), st.integers(1, 5000)))
-@settings(max_examples=60, deadline=None)
-def test_divisor_lists_window_rows(spf_1e4, lo, width):
-    # widths up to 70 are narrower than sqrt(hi) for most hi <= 5000, so a
-    # divisor d <= sqrt(n) often has no owner in the window at all
-    hi = min(lo + width, 5000)
-    start, flat = divisor_lists(lo, hi)
-    assert len(start) == hi - lo + 1 and start[-1] == len(flat)
-    for n in range(lo, hi):
-        row = flat[start[n - lo] : start[n - lo + 1]]
-        assert row.tolist() == divisors(factorize(n, spf_1e4)), n
 
 
 def test_primes_upto():
