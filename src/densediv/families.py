@@ -233,13 +233,17 @@ class FamilyOracle:
         if ok is not None:
             return ok
         divs = self._level1_divisors(n, f)
-        ok, py, qy, member = divs[-1] == n, self.py, self.qy, self.member
+        ok, py, qy, member, get = divs[-1] == n, self.py, self.qy, self.member, memo.get
         for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
             # the kept divisors start at 1 (n in level k) and end at n (n in level j)
             ok = member(kind, n, k) and member(kind, n, j)
             last = 1
             for d in divs if ok else ():
-                if member(kind, d, j) and (k == 0 or member(kind, n // d, k)):
+                # most answers are in the memo already: read it before calling
+                in_j = get((j, d))
+                if in_j is None:
+                    in_j = member(kind, d, j)
+                if in_j and (k == 0 or member(kind, n // d, k)):
                     if d * qy > last * py:
                         ok = False
                         break

@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-import scipy.special as ssp
 from mpmath.calculus.quadrature import GaussLegendre
 
 from ._constants import EULER_GAMMA, EXP_NEG_GAMMA
@@ -38,7 +37,7 @@ from .errors import (
     NumericalConsistencyError,
     SearchFailureError,
 )
-from .specfun import _lower_gamma, b_coefficients, buchstab_omega, buchstab_omega_prime
+from .specfun import _lower_gamma, _special, b_coefficients, buchstab_omega, buchstab_omega_prime
 
 _BMAX = 258  # b_k available up to this index; series cap K <= _BMAX
 
@@ -295,7 +294,7 @@ def _h2_float_nodes(a: Fraction):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     u = (mid[:, None] + half[:, None] * _GLX24[None, :]).ravel()
     w = (half[:, None] * _GLW24[None, :]).ravel()
-    return np.log(u), w * np.exp(-u * z + ssp.exp1(u))
+    return np.log(u), w * np.exp(-u * z + _special().exp1(u))
 
 
 @lru_cache(maxsize=1)
@@ -339,7 +338,7 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
             maxterm = at
     lnu, W = _h2_float_nodes(a)
     h2 = complex(np.sum(np.exp(sc * lnu) * W))
-    invgam = complex(ssp.rgamma(sc))
+    invgam = complex(_special().rgamma(sc))
     h2_scale = abs(h2) * math.exp(-(sc.real + 1) * la)
     val = EXP_NEG_GAMMA / af * tot * invgam + h2 * cmath.exp(-(sc + 1) * la) * invgam
     noise = 1e-14 * (maxterm * EXP_NEG_GAMMA / af + h2_scale) * abs(invgam)
@@ -515,11 +514,18 @@ def _find_lambda(a: Fraction, dps: int | None) -> ZeroCertificate:
                 lo, flo = mid, fm
             else:
                 hi = mid
-        # secant polish at full precision from the bracket ends
+        # secant polish at full precision from the bracket ends; each point is
+        # evaluated once, the residual's at lam included
+        polished: dict[float, float] = {}
+
+        def g_full(x: float) -> float:
+            if x not in polished:
+                polished[x] = _g_exact_or_series(a, complex(-x, 0.0), dps).real
+            return polished[x]
+
         x0, x1 = lo, hi
         if x0 != x1:
-            f0 = _g_exact_or_series(a, complex(-x0, 0.0), dps).real
-            f1 = _g_exact_or_series(a, complex(-x1, 0.0), dps).real
+            f0, f1 = g_full(x0), g_full(x1)
             for _ in range(4):
                 if f1 == f0:
                     break
@@ -527,11 +533,11 @@ def _find_lambda(a: Fraction, dps: int | None) -> ZeroCertificate:
                 if not (n - 1 <= x2 <= n):
                     break
                 x0, f0 = x1, f1
-                x1, f1 = x2, _g_exact_or_series(a, complex(-x2, 0.0), dps).real
+                x1, f1 = x2, g_full(x2)
                 if f1 == 0.0:
                     break
         lam, bracket = x1, (n - 1, n)
-        g_lam = _g_exact_or_series(a, complex(-lam, 0.0), dps).real
+        g_lam = g_full(lam)
         residual = abs(g_lam) * float(a) * math.exp(EULER_GAMMA)
     return ZeroCertificate(
         a=a, lam=lam, C=residue_C(a, lam, dps=dps), bracket=bracket,

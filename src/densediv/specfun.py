@@ -20,10 +20,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.special as sc
 
 from ._constants import EXP_NEG_GAMMA
 from .errors import DomainError
+
+
+@lru_cache(maxsize=1)
+def _special():
+    """scipy.special, imported on first use: the import costs a fresh process
+    ~0.25 s and ~24 MB, and membership, counts and the rho tables never need it."""
+    import scipy.special
+
+    return scipy.special
+
 
 # ---------------------------------------------------------------------------
 # Buchstab omega
@@ -69,34 +78,53 @@ def _hermite(s, h, y0, d0, y1, d1):
 
 @lru_cache(maxsize=1)
 def build_omega_table() -> OmegaTable:
-    step = OMEGA_STEP
+    """omega and omega' on [3, 13], one row per OMEGA_STEP, by RK4 on the
+    delay equation.
+
+    The delay term omega(u - 1) reaches one unit back: the step from row j
+    reads the table up to row j + 2 - per (per steps to a unit).  So once
+    row b is final, the history of the next per - 1 steps, at u - 1
+    and u + h/2 - 1, is one numpy evaluation: _omega_23 (math.log) below 3,
+    the Hermite interpolant of the final rows above.  The steps then run on
+    Python floats.  Every value is the one a point-by-point evaluation of the
+    history gives.
+    """
+    step = h = OMEGA_STEP
     n = int(round((_OMEGA_UMAX - 3.0) / step))
     us = 3.0 + step * np.arange(n + 1)
     w = np.zeros(n + 1)
     wd = np.zeros(n + 1)
+
+    def hist(t: np.ndarray) -> list[float]:
+        out = np.empty_like(t)
+        low = t < 3.0
+        out[low] = [_omega_23(x) for x in t[low].tolist()]
+        t = t[~low]
+        j = np.minimum(((t - 3.0) / step).astype(np.int64), n - 1)
+        out[~low] = _hermite((t - us[j]) / step, step, w[j], wd[j], w[j + 1], wd[j + 1])
+        return out.tolist()
+
+    def f(u: float, past: float, val: float) -> float:
+        return (past - val) / u
+
     w[0] = _omega_23(3.0)
-
-    def hist(t: float) -> float:
-        if t < 2.0:
-            return 1.0 / t
-        if t < 3.0:
-            return _omega_23(t)
-        j = min(int((t - 3.0) / step), n - 1)
-        return _hermite((t - us[j]) / step, step, w[j], wd[j], w[j + 1], wd[j + 1])
-
-    def f(u: float, val: float) -> float:
-        return (hist(u - 1.0) - val) / u
-
-    wd[0] = f(3.0, w[0])
-    h = step
-    for j in range(n):
-        u0, y0 = us[j], w[j]
-        k1 = f(u0, y0)
-        k2 = f(u0 + h / 2, y0 + h / 2 * k1)
-        k3 = f(u0 + h / 2, y0 + h / 2 * k2)
-        k4 = f(u0 + h, y0 + h * k3)
-        w[j + 1] = y0 + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        wd[j + 1] = f(us[j + 1], w[j + 1])
+    wd[0] = f(3.0, _omega_23(2.0), w[0])
+    chunk = int(round(1.0 / step)) - 1
+    for b in range(0, n, chunk):
+        e = min(b + chunk, n)
+        grid = hist(us[b : e + 1] - 1.0)
+        mid = hist(us[b:e] + h / 2 - 1.0)
+        u = us[b : e + 1].tolist()
+        y0 = float(w[b])
+        for i in range(e - b):
+            u0 = u[i]
+            k1 = f(u0, grid[i], y0)
+            k2 = f(u0 + h / 2, mid[i], y0 + h / 2 * k1)
+            k3 = f(u0 + h / 2, mid[i], y0 + h / 2 * k2)
+            k4 = f(u0 + h, grid[i + 1], y0 + h * k3)
+            y0 = y0 + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            w[b + i + 1] = y0
+            wd[b + i + 1] = f(u[i + 1], grid[i + 1], y0)
     us.setflags(write=False)
     w.setflags(write=False)
     wd.setflags(write=False)
@@ -155,7 +183,7 @@ def buchstab_omega_prime(u) -> float | np.ndarray:
         out[m3] = (buchstab_omega(t - 1.0) - buchstab_omega(t)) / t
     t = arr[m4]
     if t.size:
-        out[m4] = 1.0 / sc.gamma(t + 1.0)
+        out[m4] = 1.0 / _special().gamma(t + 1.0)
     if np.isscalar(u) or arr.ndim == 0:
         return float(out)
     return out
@@ -170,7 +198,7 @@ def exp_integral_J(u: float) -> float:
     """J(u) = integral of e^{-t}/t over [u, inf), u > 0."""
     if u <= 0:
         raise DomainError("J(u) requires u > 0")
-    return float(sc.exp1(u))
+    return float(_special().exp1(u))
 
 
 def entire_I(x: float, terms: int = 120) -> float:
@@ -251,7 +279,7 @@ def gamma_complex(s: complex) -> complex:
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
         raise DomainError(f"gamma pole at s = {s}")
-    return complex(sc.gamma(s))
+    return complex(_special().gamma(s))
 
 
 def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log, maxit=100000):
@@ -340,7 +368,7 @@ def k_airy(nu: float) -> float:
     if nu <= 0:
         raise DomainError("K(nu) requires nu > 0")
     zz = -((1.5 * nu) ** (2.0 / 3.0))
-    ai = sc.airy(zz)[0]
+    ai = _special().airy(zz)[0]
     return float(2.0 * math.pi * (2.0 / (3.0 * nu)) ** (1.0 / 3.0) * ai)
 
 

@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from densediv.families import membership_tables
+from densediv.specfun import _OMEGA_UMAX, OMEGA_STEP, _hermite, _omega_23
 
 
 @lru_cache(maxsize=8)
@@ -58,3 +61,37 @@ class DefinitionReference:
                 for k in ks
             )
         return self._memo[key]
+
+
+def omega_table_reference():
+    """(values, derivs) of Buchstab's omega on [3, 13] by the scalar RK4 that
+    evaluates the delay history point by point, the table's first form."""
+    step = OMEGA_STEP
+    n = int(round((_OMEGA_UMAX - 3.0) / step))
+    us = 3.0 + step * np.arange(n + 1)
+    w = np.zeros(n + 1)
+    wd = np.zeros(n + 1)
+    w[0] = _omega_23(3.0)
+
+    def hist(t: float) -> float:
+        if t < 2.0:
+            return 1.0 / t
+        if t < 3.0:
+            return _omega_23(t)
+        j = min(int((t - 3.0) / step), n - 1)
+        return _hermite((t - us[j]) / step, step, w[j], wd[j], w[j + 1], wd[j + 1])
+
+    def f(u: float, val: float) -> float:
+        return (hist(u - 1.0) - val) / u
+
+    wd[0] = f(3.0, w[0])
+    h = step
+    for j in range(n):
+        u0, y0 = us[j], w[j]
+        k1 = f(u0, y0)
+        k2 = f(u0 + h / 2, y0 + h / 2 * k1)
+        k3 = f(u0 + h / 2, y0 + h / 2 * k2)
+        k4 = f(u0 + h, y0 + h * k3)
+        w[j + 1] = y0 + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        wd[j + 1] = f(us[j + 1], w[j + 1])
+    return w, wd

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -429,3 +432,33 @@ class TestQuestionScan:
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["counterexamples"] == []
+
+
+class TestStartup:
+    # a fresh process imports scipy only for the commands that call it; this
+    # test process has scipy loaded already, so each check starts a new one
+    _CODE = (
+        "import sys\n"
+        "from densediv.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    main(sys.argv[1:], standalone_mode=False)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+
+    def _scipy_loaded(self, args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", self._CODE, *args.split()], capture_output=True,
+                             text=True, env=env, check=True, timeout=120).stdout
+        return out.splitlines()[-1]
+
+    @pytest.mark.parametrize("args", [
+        "",
+        "member --family dense --i 3 --y 2 --n 720720",
+        # the count with the rho model builds the omega table
+        "count --family dense --i 2 --y 50 --x 100000",
+    ])
+    def test_no_scipy_before_it_is_called(self, args):
+        assert self._scipy_loaded(args) == "False"
+
+    def test_certificate_loads_scipy(self):
+        assert self._scipy_loaded("certificate --a 1/3") == "True"

@@ -355,6 +355,33 @@ class TestFindLambda:
         # 34 bisection samples, then the secant's and the residual's
         assert sum(1 for s in calls if s.imag == 0.0 and lo < -s.real < hi) >= 34 + 3
 
+    @pytest.mark.parametrize("i", range(2, 11))
+    def test_polish_evaluates_each_point_once(self, monkeypatch, i):
+        # the secant, its repeats and the residual at lambda evaluate each
+        # point once; only the bisection's own samples (margin route) are
+        # left out, as the polish may start from one of them
+        a = Fraction(1, i)
+        expected = find_lambda(a)
+        orig_route, orig_mp = gzero._g_exact_or_series, gzero.g_eval_series
+        margins, calls = [], []
+
+        def route(a_, s, dps=40, margin=None):
+            margins.append(margin)
+            try:
+                return orig_route(a_, s, dps, margin)
+            finally:
+                margins.pop()
+
+        def counting(a_, s, **kw):
+            if 50.0 not in margins:
+                calls.append((s, kw["dps"]))
+            return orig_mp(a_, s, **kw)
+
+        monkeypatch.setattr(gzero, "_g_exact_or_series", route)
+        monkeypatch.setattr(gzero, "g_eval_series", counting)
+        assert gzero._find_lambda.__wrapped__(a, None) == expected
+        assert calls and len(set(calls)) == len(calls)
+
     def test_float_route_nan_in_the_bracket(self):
         # at a = 1/60 the float route is NaN near s = -204; the NaN must not be
         # read as a sign, and C comes from two finite routes

@@ -23,6 +23,8 @@ from densediv.specfun import (
     upper_incomplete_gamma,
 )
 
+from _shared import omega_table_reference
+
 
 class TestOmega:
     def test_closed_form_first_interval(self):
@@ -33,6 +35,13 @@ class TestOmega:
     def test_closed_form_second_interval(self):
         # one integration of the delay equation on [2,3]
         assert buchstab_omega(2.5) == pytest.approx(0.5621860432432658, abs=1e-12)
+
+    def test_table_matches_pointwise_history(self):
+        # the numpy history evaluation changes no bit of the table
+        values, derivs = omega_table_reference()
+        tab = build_omega_table()
+        assert np.array_equal(tab.values, values)
+        assert np.array_equal(tab.derivs, derivs)
 
     def test_tail_bound_lemma(self):
         # |omega(u) - e^-gamma| <= 1/Gamma(u+1) at every table point
