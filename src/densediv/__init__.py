@@ -46,7 +46,6 @@ from .gzero import (
 from .integers import FactoredInteger, divisors, factorize, primes_upto, sieve_spf
 from .rho import RhoTable, build_rho_table, cached_rho_table, rho_asymptotic, rho_closed_form_12
 from .specfun import (
-    K_airy,
     OmegaTable,
     RationalSeries,
     b_coefficients,
@@ -54,6 +53,7 @@ from .specfun import (
     build_omega_table,
     exp_integral_J,
     gamma_complex,
+    k_airy,
     k_oscillatory,
     k_zeros,
     upper_incomplete_gamma,

@@ -168,6 +168,27 @@ def _keep_pairs(kind: str, i: int) -> list[tuple[int, int]]:
     return [(i - 1 - k, k) for k in range((i + 1) // 2)]
 
 
+def _level1_divisors(f: FactoredInteger, y: Fraction) -> list[int]:
+    """The divisors of f.n in level 1, the y-densely divisible numbers, increasing.
+
+    Level 1 is the chain family p_j <= y p_1...p_{j-1} (Tenenbaum), so its
+    divisors of n grow prime by prime from the factorization: a level-1 t
+    takes the next prime p, ..., p^e while p <= y t.  Refuses n with more than
+    DEFAULT_DIVISOR_CAP divisors before any list is built.
+    """
+    tau = f.divisor_count()
+    if tau > DEFAULT_DIVISOR_CAP:
+        raise ResourceLimitError(f"{f.n} has {tau} divisors, cap is {DEFAULT_DIVISOR_CAP}")
+    divs, py, qy = [1], y.numerator, y.denominator
+    for p, e in f.factors:  # primes rising
+        grow = [t for t in divs if p * qy <= py * t]
+        for _ in range(e):
+            grow = [t * p for t in grow]
+            divs += grow
+    divs.sort()
+    return divs
+
+
 # the entries each memo of one oracle keeps; past it the oldest entry goes
 _MEMO_CAP = 1 << 18
 
@@ -182,10 +203,8 @@ def _remember(memo: dict, key, value):
 class FamilyOracle:
     """Memoized Dense/StrongDense membership for one y, read from level-1 divisors.
 
-    Level 1, the y-densely divisible n, is the chain family p_j <= y p_1...p_{j-1}
-    (Tenenbaum), so the level-1 divisors of n grow prime by prime from its
-    factorization: a level-1 divisor t takes the next prime p while p <= y t.
-    n is in level 1 iff it is the last of its level-1 divisors.  Every level
+    Level 1 holds the y-densely divisible n, and n is in level 1 iff it is the
+    last of its level-1 divisors (_level1_divisors, memoized).  Every level
     i >= 2 lies within level 1, and every kept divisor d of a keep pair (j, k)
     lies in level j >= 1 (_keep_pairs), so the y-dense check of each pair
     scans only the level-1 divisors of n.
@@ -202,26 +221,6 @@ class FamilyOracle:
         self._strong: dict[tuple[int, int], bool] = {}
         self._divs: dict[int, list[int]] = {}
 
-    def _level1_divisors(self, n: int, f: FactoredInteger | None) -> list[int]:
-        """The divisors of n in level 1, increasing, from f, n's factorization
-        or None; refuses n with more than DEFAULT_DIVISOR_CAP divisors before
-        any list is built."""
-        divs = self._divs.get(n)
-        if divs is not None:
-            return divs
-        f = f or factorize(n)
-        tau = f.divisor_count()
-        if tau > DEFAULT_DIVISOR_CAP:
-            raise ResourceLimitError(f"{n} has {tau} divisors, cap is {DEFAULT_DIVISOR_CAP}")
-        divs, py, qy = [1], self.py, self.qy
-        for p, e in f.factors:  # primes rising: a level-1 t with p <= y t takes p, ..., p^e
-            grow = [t for t in divs if p * qy <= py * t]
-            for _ in range(e):
-                grow = [t * p for t in grow]
-                divs += grow
-        divs.sort()
-        return _remember(self._divs, n, divs)
-
     def member(self, kind: str, n: int, i: int, f: FactoredInteger | None = None) -> bool:
         """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of
         level i; f, if given, is n's factorization, so n is not factorized again."""
@@ -232,7 +231,9 @@ class FamilyOracle:
         ok = memo.get(key)
         if ok is not None:
             return ok
-        divs = self._level1_divisors(n, f)
+        divs = self._divs.get(n)
+        if divs is None:
+            divs = _remember(self._divs, n, _level1_divisors(f or factorize(n), self.y))
         ok, py, qy, member, get = divs[-1] == n, self.py, self.qy, self.member, memo.get
         for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
             # the kept divisors start at 1 (n in level k) and end at n (n in level j)
@@ -489,8 +490,9 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
     """
     if N < 1 or imax < 0:
         raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
-    # 24 bytes per n in int32 lpf, parent, n, a temporary and masks, 2 per level and kind
-    lpf = sieve_spf(max(N, 2), _BULK_BUDGET // (24 + 2 * len(kinds) * imax))[: N + 1].astype(np.int32)
+    # 24 bytes per n in int32 lpf, parent, n, a temporary and masks, 2 per level and
+    # kind; lpf is a writable copy of the int32 sieve, which is freed at once
+    lpf = sieve_spf(max(N, 2), _BULK_BUDGET // (24 + 2 * len(kinds) * imax))[: N + 1].copy()
     y = Fraction(y)
     py, qy = y.numerator, y.denominator
     n = np.arange(N + 1, dtype=np.int32)
@@ -609,7 +611,8 @@ def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.
         raise DomainError("x must be >= 1")
     beta = _beta(beta)
     pb, qb = beta.numerator, beta.denominator
-    spf = sieve_spf(max(N, 2), _BULK_BUDGET // 9)  # 9 bytes per n: the sieve and the mask
+    # the int32 sieve and the mask hold 5 bytes per n, within the 9 the budget allows
+    spf = sieve_spf(max(N, 2), _BULK_BUDGET // 9)
     bound = max(N ** (qb + pb) * den, num * N**e)
     ok = np.zeros(N + 1, dtype=bool)
     width = _window_width(N)
@@ -755,48 +758,24 @@ def check_ssf_identity_range(x_max: int, y: Fraction | int, beta: Fraction | int
     return bool(np.array_equal(ok, tree))
 
 
-def theta2_of(m: int, y: Fraction, spf=None) -> Fraction:
-    """theta(m) = y * max over Dense(1)-divisors d of min(m/d, d).
-
-    The Dense(1) divisors grow from 1 by the Tenenbaum chain: for a prime
-    p >= P^+(d) of m/d, d p is Dense(1) iff d is and p <= y d.  Once
-    d*d >= m, min(m/d, d) = m/d only falls along the chain, so d is a leaf."""
-    py, qy = y.numerator, y.denominator
-    factors = factorize(m, spf).factors
-    best = 1
-    stack = [(1, 0, 0)]  # (d, index of P^+(d) in factors, its exponent in d)
-    while stack:
-        d, k0, e0 = stack.pop()
-        if d * d >= m:
-            best = max(best, m // d)
-            continue
-        best = max(best, d)
-        for k in range(k0, len(factors)):
-            p, e = factors[k]
-            if p * qy > py * d:
-                break
-            if k > k0:
-                stack.append((d * p, k, 1))
-            elif e0 < e:
-                stack.append((d * p, k, e0 + 1))
-    return y * best
+def theta2_of(m: int, y: Fraction) -> Fraction:
+    """theta(m) = y * max over Dense(1)-divisors d of min(m/d, d), the divisors
+    from _level1_divisors, the oracle's routine.  min(m/d, d) rises with d up
+    to sqrt(m) and falls after it, so the max is at one of the two divisors
+    around sqrt(m)."""
+    divs = _level1_divisors(factorize(m), y)
+    k = bisect_right(divs, math.isqrt(m))  # divs[0] = 1 <= isqrt(m) < divs[k]
+    return y * max(divs[k - 1], m // divs[k] if k < len(divs) else 1)
 
 
 def check_theta2(n: int | FactoredInteger, y: Fraction | int, spf=None) -> bool:
-    """Dense(2) membership by definition equals the chain test with
-    theta(m) = y * max_{d | m, d in Dense(1)} min(m/d, d)."""
+    """Dense(2) membership by definition (the oracle) equals the chain test
+    with theta(m) = y * max_{d | m, d in Dense(1)} min(m/d, d); spf, if given,
+    factorizes n."""
     y = Fraction(y)
     f = n if isinstance(n, FactoredInteger) else factorize(n, spf)
-    by_def = is_member(f, FamilySpec("dense", y, i=2))
-    m = 1
-    by_chain = True
-    for p in f.prime_list():
-        th = theta2_of(m, y, spf)
-        if Fraction(p) > th:
-            by_chain = False
-            break
-        m *= p
-    return by_def == by_chain
+    spec = FamilySpec("dense", y, i=2)
+    return is_member(f, spec) == _chain_member(spec, f)
 
 
 def check_factorization_lemma(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,9 +53,8 @@ class ZeroCertificate:
     that zero, by bisection and secant polish inside the bracket; residual is
     |a e^gamma g_a(-lam)|; C = 1/g_a'(-lam) from the residue contour, checked
     against the derivative.  A certificate does not show that no zero lies
-    between two integers or off the real axis right of -lam: zero_free holds
-    (rectangle, winding) pairs only when a caller passes them, and the
-    package passes none, so "zero_free_rects" is empty.
+    between two integers or off the real axis right of -lam, so its JSON
+    lists no zero-free rectangles ("zero_free_rects" is empty).
     """
 
     a: Fraction
@@ -64,7 +63,6 @@ class ZeroCertificate:
     bracket: tuple[int, int]
     bracket_signs: tuple[Fraction, Fraction]
     residual: float
-    zero_free: tuple = field(default=())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -76,9 +74,7 @@ class ZeroCertificate:
                 "bracket": list(self.bracket),
                 "bracket_signs": [str(s) for s in self.bracket_signs],
                 "residual": self.residual,
-                "zero_free_rects": [
-                    {"rect": list(r), "zeros": k} for (r, k) in self.zero_free
-                ],
+                "zero_free_rects": [],
             },
             indent=2,
         )
@@ -315,9 +311,9 @@ def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     the error exceeds the noise by up to 6.5x.  _g_exact_or_series
     re-evaluates in high precision below 50x (find_lambda) and 1e4x
     (residue_C's contour) the noise, and residue_C's complex-step derivative
-    falls back to high precision once its noise exceeds 1/100 of the rtol it
-    is checked to; each margin covers that factor.  Where the noise is
-    comparable to the value the float value means nothing: at a = 1,
+    falls back to high precision once its noise exceeds 1/100 of the
+    _RESIDUE_RTOL it is checked to; each margin covers that factor.  Where
+    the noise is comparable to the value the float value means nothing: at a = 1,
     s = -31.863 it is 5e18 against a true -3e16.  Far left the value and
     the noise can be NaN (a = 1/60, s = -204.4); both fallbacks take that
     as a sample to re-evaluate.
@@ -454,29 +450,30 @@ def h_bound(a: Fraction | float, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def find_lambda(a: Fraction | int, dps: int | None = None) -> ZeroCertificate:
+def find_lambda(a: Fraction | int) -> ZeroCertificate:
     """Locate lambda_a: sign scan of the exact polynomial values g_a(-n) a e^gamma,
     bisection inside the bracket, secant polish, residual check.
 
-    Cached per (Fraction(a), dps), so find_lambda(1) and find_lambda(Fraction(1))
+    Cached per Fraction(a), so find_lambda(1) and find_lambda(Fraction(1))
     share one entry.
     """
-    return _find_lambda(Fraction(a), dps)
+    return _find_lambda(Fraction(a))
 
 
 # the residue contour's radius around -lambda_a
 _CONTOUR_R = 0.4
+# the relative agreement residue_C asks of its contour and derivative routes
+_RESIDUE_RTOL = 1e-6
 # the last bracket end -n the series route (K >= 1 - Re s, K <= _BMAX) can
 # polish: every bisection, secant and contour sample has Re s >= -n - _CONTOUR_R
 _SCAN_MAX = math.floor(_BMAX - 1 - _CONTOUR_R)
 
 
 @lru_cache(maxsize=64)
-def _find_lambda(a: Fraction, dps: int | None) -> ZeroCertificate:
+def _find_lambda(a: Fraction) -> ZeroCertificate:
     if a <= 0:
         raise DomainError("a must be > 0")
-    if dps is None:
-        dps = max(40, int(20 + 1.4 / float(a)))
+    dps = max(40, int(20 + 1.4 / float(a)))
     n_cap = int(math.ceil((2.0 / float(a)) * (math.log(1.0 / float(a)) + 2.0))) + 10
     prev = g_eval_neg_int(a, 0)
     if prev <= 0:
@@ -560,19 +557,20 @@ def _complex_step_derivative(a: Fraction, x: float) -> tuple[float, float]:
     return (4 * d[1] - d[0]) / 3, (4 * e[1] + e[0]) / 3
 
 
-def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> float:
+def residue_C(a: Fraction, lam: float, dps: int = 40) -> float:
     """C_a = 1/g_a'(-lambda_a), from a circular contour quadrature of 1/g_a,
-    checked against the derivative; the two must agree to rtol.
+    checked against the derivative; the two must agree to _RESIDUE_RTOL.
 
     The derivative is a complex step on the float series route: g_a is real
     on the real axis, so Im g_a(x + ih)/h = g_a'(x) - h^2 g_a'''(x)/6 + ...
     with no cancellation, and Richardson over h in {1e-2, 5e-3} removes the
-    h^2 term.  Where it is not finite or its noise is above rtol/100 of it,
-    the check falls back to Richardson central differences in high precision.
+    h^2 term.  Where it is not finite or its noise is above _RESIDUE_RTOL/100
+    of it, the check falls back to Richardson central differences in high
+    precision.
     """
     a = Fraction(a)
     deriv, err = _complex_step_derivative(a, -lam)
-    if not (math.isfinite(deriv) and err <= rtol / 100 * abs(deriv)):
+    if not (math.isfinite(deriv) and err <= _RESIDUE_RTOL / 100 * abs(deriv)):
 
         def gr(x: float) -> float:
             return _g_exact_or_series(a, complex(x, 0.0), dps).real
@@ -594,7 +592,7 @@ def residue_C(a: Fraction, lam: float, dps: int = 40, rtol: float = 1e-6) -> flo
     c_cont = (tot / M).real
 
     # written so that a NaN or an infinity on either route fails the check
-    if not (math.isfinite(c_cont) and abs(c_diff - c_cont) <= rtol * abs(c_cont)):
+    if not (math.isfinite(c_cont) and abs(c_diff - c_cont) <= _RESIDUE_RTOL * abs(c_cont)):
         raise NumericalConsistencyError(
             f"residue routes disagree for a={a}: diff={c_diff!r} contour={c_cont!r}"
         )

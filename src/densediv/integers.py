@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 
 # Budgets are deliberately conservative: inputs are desk-scale (<= ~1e12).
-# The sieve holds 8 bytes per entry, 1 GiB at its budget; a divisor list
+# The sieve holds 4 bytes per entry, 512 MiB at its budget; a divisor list
 # past the cap is refused before it is built.
 DEFAULT_SIEVE_BUDGET = 1 << 27
 DEFAULT_DIVISOR_CAP = 1 << 20
@@ -76,14 +76,15 @@ class FactoredInteger:
 def sieve_spf(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
     """Smallest-prime-factor table for 2..limit.
 
-    Returns an int64 array ``spf`` of length limit+1 with spf[n] the smallest
-    prime factor of n (spf[0] = 0, spf[1] = 1, spf[p] = p for primes).
+    Returns a read-only int32 array ``spf`` of length limit+1 with spf[n] the
+    smallest prime factor of n (spf[0] = 0, spf[1] = 1, spf[p] = p for
+    primes); every entry is at most the budget, below 2**31.
     """
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     if limit + 1 > budget:
         raise ResourceLimitError(f"sieve limit {limit} exceeds budget {budget}")
-    spf = np.arange(limit + 1, dtype=np.int64)
+    spf = np.arange(limit + 1, dtype=np.int32)
     spf[0] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:

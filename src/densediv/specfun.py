@@ -201,11 +201,15 @@ def exp_integral_J(u: float) -> float:
     return float(_special().exp1(u))
 
 
-def entire_I(x: float, terms: int = 120) -> float:
+# the most terms entire_I sums before its relative 1e-18 stop
+_I_TERMS = 120
+
+
+def entire_I(x: float) -> float:
     """I(x) = integral of (e^t - 1)/t over [0, x], by its entire power series."""
     total = 0.0
     term = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, _I_TERMS + 1):
         term *= x / k
         contrib = term / k
         total += contrib
@@ -224,10 +228,6 @@ class RationalSeries:
     """Exact rational power series coefficients up to index K."""
 
     coefficients: tuple[Fraction, ...]
-
-    @property
-    def K(self) -> int:
-        return len(self.coefficients) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coefficients[k]
@@ -420,24 +420,6 @@ def k_oscillatory(nu: float) -> float:
     psiA = (3.0 * nu * dA - 3.0 * d2A * d2A) / dA**4
     tail = -math.sin(pA) / dA + math.cos(pA) * d2A / dA**3 - math.sin(pA) * psiA / dA
     return 2.0 * (val + tail)
-
-
-def K_airy(nu: float, cross_check: bool = False, tol: float = 1e-6) -> float:
-    """K(nu), primary evaluation through the Airy path.
-
-    With cross_check=True the oscillatory quadrature path is also evaluated
-    and the two must agree within tol.
-    """
-    val = k_airy(nu)
-    if cross_check:
-        alt = k_oscillatory(nu)
-        if abs(val - alt) > tol:
-            from .errors import NumericalConsistencyError
-
-            raise NumericalConsistencyError(
-                f"K({nu}): airy={val!r} vs quadrature={alt!r} disagree beyond {tol}"
-            )
-    return val
 
 
 def k_zeros(count: int) -> list[float]:

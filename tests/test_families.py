@@ -430,6 +430,36 @@ def test_oracle_matches_definition_on_many_divisors(exponents, y, kind, i):
     assert FamilyOracle(y).member(kind, n, i) == _REFERENCES[y].member(kind, n, i)
 
 
+_LEVEL1_REFERENCES = {y: _REFERENCES.get(y) or DefinitionReference(y)
+                      for y in (Y2, Fraction(5, 2), Fraction(3), Fraction(10))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponents=st.lists(st.integers(0, 4), min_size=len(_PRIMES_TO_60), max_size=len(_PRIMES_TO_60)),
+       y=st.sampled_from(sorted(_LEVEL1_REFERENCES)))
+def test_level1_divisors_match_definition(exponents, y):
+    # the one level-1 divisor routine, read by the oracle and by theta_2,
+    # against the Dense(1) definition on the many-divisor n <= 1e7
+    n = 1
+    for p, e in zip(_PRIMES_TO_60, exponents):
+        for _ in range(e):
+            if n * p <= 10**7:
+                n *= p
+    ref = _LEVEL1_REFERENCES[y]
+    expect = [d for d in ref._divisors(n) if ref.member("dense", d, 1)]
+    assert families._level1_divisors(factorize(n), y) == expect
+
+
+@pytest.mark.parametrize("y", sorted(_REFERENCES))
+def test_theta2_values_match_definition(y):
+    # theta_2(m) = y max min(d, m/d) over the Dense(1) divisors d of m, the
+    # divisors read from the definition
+    ref = _REFERENCES[y]
+    for m in range(1, 2001):
+        best = max(min(d, m // d) for d in ref._divisors(m) if ref.member("dense", d, 1))
+        assert families.theta2_of(m, y) == y * best, (m, y)
+
+
 class TestEnumerationConsistency:
     def test_dense2_fast_path_matches_filter(self):
         cases = [(y, False) for y in (Y2, Fraction(5, 2), Fraction(7, 3), Fraction(10))]

@@ -326,7 +326,7 @@ class TestFindLambda:
         cert = find_lambda(Fraction(1))
         misses = find_lambda.cache_info().misses
         assert find_lambda(1) is cert
-        assert find_lambda(1, None) is cert
+        assert find_lambda(a=1) is cert
         assert find_lambda.cache_info().misses == misses
 
     def test_bisection_below_the_margin(self, monkeypatch):
@@ -349,7 +349,7 @@ class TestFindLambda:
             return orig_mp(a_, s, **kw)
 
         monkeypatch.setattr(gzero, "g_eval_series", counting)
-        again = gzero._find_lambda.__wrapped__(a, None)
+        again = gzero._find_lambda.__wrapped__(a)
         assert (again.lam, again.residual) == (cert.lam, cert.residual)
         lo, hi = cert.bracket
         # 34 bisection samples, then the secant's and the residual's
@@ -379,7 +379,7 @@ class TestFindLambda:
 
         monkeypatch.setattr(gzero, "_g_exact_or_series", route)
         monkeypatch.setattr(gzero, "g_eval_series", counting)
-        assert gzero._find_lambda.__wrapped__(a, None) == expected
+        assert gzero._find_lambda.__wrapped__(a) == expected
         assert calls and len(set(calls)) == len(calls)
 
     def test_float_route_nan_in_the_bracket(self):

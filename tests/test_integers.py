@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,10 @@ class TestSieve:
         assert spf[2] == 2
         assert spf[15] == 3
         assert spf[17] == 17
+
+    def test_int32_read_only(self):
+        spf = sieve_spf(10_000)
+        assert spf.dtype == np.int32 and not spf.flags.writeable
 
     def test_8424(self):
         spf = sieve_spf(10_000)

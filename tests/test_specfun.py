@@ -10,7 +10,6 @@ from densediv import specfun
 from densediv._constants import EULER_GAMMA, EXP_NEG_GAMMA
 from densediv.errors import DomainError
 from densediv.specfun import (
-    K_airy,
     b_coefficients,
     buchstab_omega,
     buchstab_omega_prime,
@@ -18,6 +17,7 @@ from densediv.specfun import (
     entire_I,
     exp_integral_J,
     gamma_complex,
+    k_airy,
     k_oscillatory,
     k_zeros,
     upper_incomplete_gamma,
@@ -239,11 +239,11 @@ class TestKAiry:
 
     def test_two_path_agreement(self):
         for nu in np.linspace(0.5, 15.0, 30):
-            assert abs(K_airy(float(nu)) - k_oscillatory(float(nu))) < 1e-6
+            assert abs(k_airy(float(nu)) - k_oscillatory(float(nu))) < 1e-6
 
     def test_cross_check_mode(self):
-        assert K_airy(2.0, cross_check=True) == pytest.approx(k_oscillatory(2.0), abs=1e-6)
+        assert k_airy(2.0) == pytest.approx(k_oscillatory(2.0), abs=1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            K_airy(0.0)
+            k_airy(0.0)
