@@ -79,7 +79,7 @@ class CountReport:
     x: int
     count: int
     u: float
-    model: float | None = None
+    model: float | None
 
     @property
     def ratio(self) -> float | None:
@@ -138,9 +138,7 @@ def theta_floor(spec: FamilySpec, m: int) -> int:
 
 
 def _chain_member(spec: FamilySpec, f: FactoredInteger) -> bool:
-    """Membership in a chain family from the sorted prime factorization."""
-    if spec.squarefree and not f.is_squarefree:
-        return False
+    """Membership in a chain family from the sorted primes; squarefree is the caller's check."""
     m = 1
     for p in f.prime_list():
         if p > theta_floor(spec, m):
@@ -161,7 +159,9 @@ def _keep_pairs(kind: str, i: int) -> list[tuple[int, int]]:
     and n/d in level k run from 1 to n with no ratio above y.  Dense(i) keeps
     (i - 1, 0); StrongDense(i) keeps every pair, but (j, k) and (k, j) keep
     the mirror images d <-> n/d, y-dense together, so j >= k is enough.  Then
-    j >= 1 for i >= 2: every kept d is in level 1.
+    j >= 1 for i >= 2: every kept d is in level 1.  Every level i >= 2 keeps
+    (i - 1, 0), so it lies within level i - 1: n in level i - 1 is n in levels
+    j and k of every pair.
     """
     if kind == "dense":
         return [(i - 1, 0)]
@@ -205,9 +205,10 @@ class FamilyOracle:
 
     Level 1 holds the y-densely divisible n, and n is in level 1 iff it is the
     last of its level-1 divisors (_level1_divisors, memoized).  Every level
-    i >= 2 lies within level 1, and every kept divisor d of a keep pair (j, k)
-    lies in level j >= 1 (_keep_pairs), so the y-dense check of each pair
-    scans only the level-1 divisors of n.
+    i >= 2 lies within level i - 1 (_keep_pairs), so one read of n in level
+    i - 1 puts n in levels j and k of every keep pair (j, k); every kept
+    divisor d lies in level j >= 1, so the y-dense check of each pair scans
+    only the level-1 divisors of n.
 
     Caches are value-keyed, so repeated divisor lookups across queries
     share work; safe to reuse across calls with the same y.  Each memo holds
@@ -234,12 +235,13 @@ class FamilyOracle:
         divs = self._divs.get(n)
         if divs is None:
             divs = _remember(self._divs, n, _level1_divisors(f or factorize(n), self.y))
-        ok, py, qy, member, get = divs[-1] == n, self.py, self.qy, self.member, memo.get
+        py, qy, member, get = self.py, self.qy, self.member, memo.get
+        # the kept divisors start at 1 (n in level k) and end at n (n in level j);
+        # level i - 1 holds n in both, and level 1 holds n iff n ends divs
+        ok = divs[-1] == n if i == 1 else member(kind, n, i - 1, f)
         for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
-            # the kept divisors start at 1 (n in level k) and end at n (n in level j)
-            ok = member(kind, n, k) and member(kind, n, j)
             last = 1
-            for d in divs if ok else ():
+            for d in divs:
                 # most answers are in the memo already: read it before calling
                 in_j = get((j, d))
                 if in_j is None:
@@ -422,19 +424,6 @@ def _owner_keys(n: np.ndarray, d: np.ndarray, first: np.ndarray, lo: int, b: int
     return key
 
 
-def _indices_int32(mask: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask) as int32, 2^16 entries of the mask at a time: no
-    int64 index array spans more than one block."""
-    out = np.empty(np.count_nonzero(mask), dtype=np.int32)
-    end, block = 0, 1 << 16
-    for lo in range(0, len(mask), block):
-        idx = np.flatnonzero(mask[lo : lo + block])
-        out[end : end + len(idx)] = idx
-        out[end : end + len(idx)] += lo
-        end += len(idx)
-    return out
-
-
 def _level1_pairs(first: np.ndarray, N: int):
     """Owners 1..N a window at a time: their slice, and the int32 pairs (n, d),
     d | n, with n in the window and both n and d in level 1 (the mask first),
@@ -442,7 +431,7 @@ def _level1_pairs(first: np.ndarray, N: int):
     in the window, and a d > r is n/m for a cofactor m <= r, found as a run of
     level 1 between lo/m and (hi - 1)/m.  Every divisor of an owner lies in
     its window or an earlier one."""
-    F = _indices_int32(first)  # level 1, increasing
+    F = np.flatnonzero(first).astype(np.int32)  # level 1, increasing
     w = _window_width(N)
     for lo in range(1, N + 1, w):
         hi = min(lo + w, N + 1)
@@ -480,13 +469,13 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
     Python ints.  A chain family holds n when P^+(n) passes against the
     parent m = n / P^+(n) and m is a member.  Dense(1) = StrongDense(1) is
     the chain family theta(m) = y m (Tenenbaum), ThetaUpper(1) without n = 0.
-    Dense(i) and StrongDense(i), i >= 2, hold n when, for each keep pair
-    (j, k) of level i, n is in levels j and k and the d in level j with n/d
-    in level k are y-dense.  Level i lies within level i - 1 and every kept d
-    lies in level 1 (_keep_pairs), so the check reads only the divisor pairs
-    with owner and divisor in level 1.  Each window's pairs are built once and
-    serve every kind, levels 2..imax in order, each level the pairs of the
-    owners in the level below.
+    Dense(i) and StrongDense(i), i >= 2, hold n when n is in level i - 1 and,
+    for each keep pair (j, k) of level i, the d in level j with n/d in level k
+    are y-dense.  Level i lies within level i - 1, so within levels j and k,
+    and every kept d lies in level 1 (_keep_pairs), so the check reads only
+    the divisor pairs with owner and divisor in level 1.  Each window's pairs
+    are built once and serve every kind, levels 2..imax in order, each level
+    the pairs of the owners in the level below.
     """
     if N < 1 or imax < 0:
         raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
@@ -527,8 +516,8 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
             for i in range(2, imax + 1):
                 alive = L[i - 1][o]  # the pairs of the owners o in level i - 1
                 o, dl = o[alive], dl[alive]
+                L[i][w] &= L[i - 1][w]
                 for j, k in _keep_pairs(kind, i):
-                    L[i][w] &= L[j][w] & L[k][w]
                     kept = L[j][dl] if k == 0 else L[j][dl] & L[k][o // dl]
                     L[i][_not_y_dense(o, dl, kept, py, qy, bound)] = False
     return smooth, levels | dense
@@ -676,6 +665,11 @@ def phi_count(x: float, y: float | Fraction, squarefree: bool = False, spf=None)
     return 1 + int(np.count_nonzero(keep))
 
 
+# Peak bytes per n of _phi_pairs (tracemalloc, x = 1e4 to 4e6): 70 when every n <= x
+# is a member (y >= x), 36 of them the member list; 30 to 37 for verify's families.
+_PHI_BYTES = 70
+
+
 def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     """(c, ok) over m = 0..x: c[m] counts the pairs n k = m with n a member and
     k = 1 or P^-(k) > theta(n) (k squarefree too in the squarefree variant);
@@ -688,8 +682,9 @@ def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("identity applies to chain families")
     if Fraction(spec.y) < 2:
         raise DomainError("theta(n) >= 2 requires y >= 2")
-    spf = sieve_spf(max(x, 2))
-    ok = _squarefree_mask(x) if spec.squarefree else np.arange(x + 1) > 0
+    spf = sieve_spf(max(x, 2), _BULK_BUDGET // _PHI_BYTES)
+    ok = _squarefree_mask(x) if spec.squarefree else np.ones(x + 1, dtype=bool)
+    ok[0] = False
     members = enumerate_members(spec, x)
     pos = [np.array(members)]  # k = 1
     for n in members:

@@ -405,15 +405,6 @@ def g_eval_integral(a: Fraction | float, s: complex | float) -> complex:
     return complex(g_eval_integral_many(a, np.array([complex(s)]))[0])
 
 
-def g_eval(a: Fraction | float, s: complex | float) -> complex:
-    """Dispatcher: series route for moderate arguments, integral route where
-    the series normalization under/overflows (large |Im s|)."""
-    sc = complex(s)
-    if abs(sc.imag) > 12.0:
-        return g_eval_integral(a, sc)
-    return _g_exact_or_series(Fraction(a), sc)
-
-
 # ---------------------------------------------------------------------------
 # H_a(sigma) zero-location bound
 # ---------------------------------------------------------------------------
@@ -724,14 +715,11 @@ def locate_zero_in_rect(
 # ---------------------------------------------------------------------------
 
 
-def dgda_identity_check(
-    a: Fraction | float, s: complex | float, delta: float | None = None
-) -> float:
+def dgda_identity_check(a: Fraction | float, s: complex | float) -> float:
     """Residual of d/da g_a(s) - [ (s/a) g_a(s+1) - ((s+1)/a) g_a(s) ],
-    with the a-derivative by central difference."""
+    with the a-derivative by central difference of step 1e-5 a."""
     af = float(a)
-    if delta is None:
-        delta = 1e-5 * af
+    delta = 1e-5 * af
     s = complex(s)
 
     def g_at(av: float, sv: complex) -> complex:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,45 +199,22 @@ def _row_integrals(u, row, lo, hi, nsub, us, vals, h, af) -> np.ndarray:
     return np.bincount(row, weights=panel, minlength=len(u))
 
 
-# (a, step) keys cached_rho_table keeps; the least recently used goes first
+# (a, step, n) keys cached_rho_table keeps; the least recently used goes first
 _CACHE_KEYS = 8
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-class _RhoCache:
-    """Process-wide cache of rho_a tables: one table per (a, step), at most
-    _CACHE_KEYS keys, rebuilt to the larger u_max when a call needs more
-    rows.  A call returns what build_rho_table(a, u_max, step) returns, as
-    the leading rows of the cached table: row u depends only on the rows
-    before it, never on where the table ends."""
-
-    def __init__(self):
-        self._store: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-    def __call__(self, a, u_max: float = 30.0, step=DEFAULT_STEP) -> RhoTable:
-        a, step, n = _grid(a, u_max, step)
-        key = (a, step)
-        t = self._store.pop(key, None)
-        if t is not None and len(t.us) > n:
-            self.hits += 1
-        else:
-            self.misses += 1
-            t = build_rho_table(a, u_max, step)
-        self._store[key] = t
-        if len(self._store) > _CACHE_KEYS:
-            self._store.popitem(last=False)
-        if len(t.us) == n + 1:
-            return t
-        return RhoTable(a=a, step=step, us=t.us[: n + 1], values=t.values[: n + 1], accuracy=t.accuracy)
-
-    def cache_info(self) -> _CacheInfo:
-        """Hits, misses (builds), maxsize and current size, as lru_cache
-        reports them."""
-        return _CacheInfo(self.hits, self.misses, _CACHE_KEYS, len(self._store))
+@lru_cache(maxsize=_CACHE_KEYS)
+def _cached_build(a: Fraction, step: Fraction, n: int) -> RhoTable:
+    return build_rho_table(a, n * step, step)
 
 
-cached_rho_table = _RhoCache()
+def cached_rho_table(a, u_max: float = 30.0, step=DEFAULT_STEP) -> RhoTable:
+    """build_rho_table(a, u_max, step), process-wide cached by the grid (a, step, n)
+    it covers, at most _CACHE_KEYS grids.  Arguments are checked before the lookup."""
+    return _cached_build(*_grid(a, u_max, step))
+
+
+cached_rho_table.cache_info = _cached_build.cache_info
 
 
 def rho_closed_form_12(a: Fraction | float, u: float) -> float:

@@ -282,11 +282,15 @@ def gamma_complex(s: complex) -> complex:
     return complex(_special().gamma(s))
 
 
-def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log, maxit=100000):
+_SERIES_MAXIT = 100000
+_CF_MAXIT = 200000
+
+
+def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log):
     # gamma_low(A,z) = z^A e^-z sum_{n>=0} z^n / (A(A+1)...(A+n)); Re(A) > 0
     term = 1 / A
     total = term
-    for n in range(1, maxit):
+    for n in range(1, _SERIES_MAXIT):
         term *= z / (A + n)
         total += term
         if abs(term) < tol * abs(total):
@@ -294,13 +298,13 @@ def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log, maxit=100000):
     return exp(A * log(z) - z) * total
 
 
-def _upper_cf(A, z, tol=1e-16, exp=cmath.exp, log=math.log, tiny=1e-300, maxit=200000):
+def _upper_cf(A, z, tol=1e-16, exp=cmath.exp, log=math.log, tiny=1e-300):
     # modified Lentz for Gamma(A,z) = z^A e^-z / (z+1-A - 1(1-A)/(z+3-A - ...))
     b = z + 1 - A
     C = b if abs(b) >= tiny else tiny
     D = 0
     f = C
-    for i in range(1, maxit):
+    for i in range(1, _CF_MAXIT):
         an = -i * (i - A)
         b = z + 2 * i + 1 - A
         D = b + an * D

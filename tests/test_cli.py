@@ -398,6 +398,17 @@ class TestVerifyAndDeterminism:
         assert r.stderr.startswith("resource limit: ")
         assert time.monotonic() - t0 < 5.0
 
+    def test_identities_budget_exit_code(self, runner):
+        # the suite's first step, the phi pairs, holds up to 70 bytes per n, so
+        # x = 26843545 is past the 1 GiB budget before any table is built
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["verify", "--suite", "identities", "--xmax", "26843545"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
+
     # stdout of the count route for Dense(i != 2) and StrongDense, captured
     # while it still filtered the ThetaUpper(i) superset with the oracle
     @pytest.mark.parametrize("args,golden", [

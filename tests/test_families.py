@@ -287,7 +287,7 @@ def test_ssf_within_memory_per_n():
 
 
 def test_bulk_budget(monkeypatch):
-    # membership_tables holds 24 + 8 imax bytes per n, _ssf_within 9
+    # membership_tables holds 24 + 8 imax bytes per n, _ssf_within 9, _phi_pairs 70
     for imax in (0, 2):
         monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * (24 + 8 * imax))
         assert len(families.membership_tables(1000, Y2, imax)["smooth"]) == 1001
@@ -303,6 +303,11 @@ def test_bulk_budget(monkeypatch):
     assert len(families._ssf_within(1000, 1, 2, 1, 1)) == 1001
     with pytest.raises(ResourceLimitError):
         families._ssf_within(1001, 1, 2, 1, 1)
+    b2 = FamilySpec("bpower", Y2, a=1)
+    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * families._PHI_BYTES)
+    assert families.check_phi_identity_range(1000, b2)
+    with pytest.raises(ResourceLimitError):
+        families.check_phi_identity_range(1001, b2)
 
 
 def test_bulk_budget_refuses_before_allocating(monkeypatch):
@@ -318,11 +323,12 @@ def test_bulk_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(families, "np", NoArrays())
     monkeypatch.setattr(integers, "np", NoArrays())
-    # the first N past 1 GiB at imax = 4 (56 bytes per n), at i = 3 (30) and at
-    # 9 bytes per n; all are inside the sieve's own budget
+    # the first N past 1 GiB at imax = 4 (56 bytes per n), at i = 3 (30), at
+    # 9 and at 70 bytes per n; all are inside the sieve's own budget
     for call in (lambda: families.membership_tables((1 << 30) // 56, Y2, 4),
                  lambda: count_members(FamilySpec("dense", 2, i=3), (1 << 30) // 30),
-                 lambda: families._ssf_within((1 << 30) // 9, 1, 2, 1, 1)):
+                 lambda: families._ssf_within((1 << 30) // 9, 1, 2, 1, 1),
+                 lambda: families._phi_pairs((1 << 30) // 70, FamilySpec("bpower", Y2, a=1))):
         with pytest.raises(ResourceLimitError):
             call()
     for call in (lambda: families.membership_tables(0, Y2, 4),
@@ -359,6 +365,21 @@ class TestOracleCache:
             return all(b <= 2 * a for a, b in zip(ds, ds[1:]))
 
         assert orc._divs[8424] == [d for d in range(1, 8425) if 8424 % d == 0 and y_dense(d)]
+
+    def test_one_read_of_the_level_below(self):
+        # level i lies within level i - 1, so one read of n there serves every
+        # keep pair: 573 calls, against 748 when each pair read levels j and k
+        orc = FamilyOracle(Y2)
+        calls = []
+        member = orc.member
+
+        def counted(*args):
+            calls.append(args)
+            return member(*args)
+
+        orc.member = counted
+        assert orc.member("dense", 65520, 4)
+        assert len(calls) <= 573 and len(orc._dense) == 262
 
     def test_is_member_factorizes_n_once(self, monkeypatch):
         # is_member hands its factorization of n to the oracle: a cold oracle

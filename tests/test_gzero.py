@@ -23,7 +23,6 @@ from densediv.gzero import (
     count_zeros_rect,
     dgda_identity_check,
     find_lambda,
-    g_eval,
     g_eval_integral,
     g_eval_neg_int,
     g_eval_series,
@@ -61,7 +60,6 @@ class TestNegIntHelper:
             for n in (0, 1, 4):
                 expected = float(g_eval_neg_int(a, n)) * EXP_NEG_GAMMA / float(a)
                 assert gzero._g_exact_or_series(a, complex(-n, 0.0)) == complex(expected)
-                assert g_eval(a, -n) == complex(expected)
 
     def test_series_elsewhere(self):
         a, s = Fraction(1, 2), complex(-1.5, 0.0)
@@ -121,7 +119,9 @@ class TestSeriesRoute:
     def test_g_at_zero(self):
         # g_a(0) = e^-gamma / a
         for a in (Fraction(1), Fraction(1, 2)):
-            assert g_eval(a, 0.0) == pytest.approx(EXP_NEG_GAMMA / float(a), rel=1e-12)
+            assert gzero._g_exact_or_series(a, 0j) == pytest.approx(
+                EXP_NEG_GAMMA / float(a), rel=1e-12
+            )
             assert g_eval_integral(a, 1e-14).real == pytest.approx(
                 EXP_NEG_GAMMA / float(a), rel=1e-9
             )

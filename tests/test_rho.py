@@ -162,9 +162,9 @@ class TestBatchedSweep:
 
 
 class TestCache:
-    def test_slices_equal_fresh_builds(self, monkeypatch):
-        # one table per (a, step), rebuilt only when a call needs more rows;
-        # every call returns exactly what a fresh build returns
+    def test_calls_equal_fresh_builds(self, monkeypatch):
+        # one build per grid (a, step, n); every call returns exactly what a
+        # fresh build returns
         builds = []
 
         def counting(*args, **kwargs):
@@ -172,26 +172,30 @@ class TestCache:
             return build_rho_table(*args, **kwargs)
 
         monkeypatch.setattr(rho, "build_rho_table", counting)
-        cache = rho._RhoCache()
+        rho._cached_build.cache_clear()
         a = Fraction(1)
         for u_max in (4.0, 30.0, 6.0, 60.0):
-            got = cache(a, u_max=u_max)
+            got = cached_rho_table(a, u_max=u_max)
             fresh = build_rho_table(a, u_max=u_max)
             assert np.array_equal(got.us, fresh.us)
             assert np.array_equal(got.values, fresh.values)
             assert (got.a, got.step, got.accuracy) == (fresh.a, fresh.step, fresh.accuracy)
-        assert builds == [4.0, 30.0, 60.0]
-        assert cache.cache_info().misses == 3 and cache.cache_info().hits == 1
+        assert builds == [4.0, 30.0, 6.0, 60.0]
+        info = cached_rho_table.cache_info()
+        assert info.misses == 4 and info.hits == 0
 
     def test_store_is_bounded(self):
-        cache = rho._RhoCache()
-        keys = [(Fraction(1, i), rho.DEFAULT_STEP) for i in range(1, rho._CACHE_KEYS + 2)]
-        for a, _ in keys:
-            cache(a, u_max=2.0)
-        assert list(cache._store) == keys[1:]
-        cache(keys[1][0], u_max=1.5)
-        assert list(cache._store) == keys[2:] + keys[1:2]
-        assert cache.cache_info().currsize == rho._CACHE_KEYS
+        rho._cached_build.cache_clear()
+        a_list = [Fraction(1, i) for i in range(1, rho._CACHE_KEYS + 2)]
+        for a in a_list:
+            cached_rho_table(a, u_max=2.0)
+        assert cached_rho_table.cache_info().currsize == rho._CACHE_KEYS
+        # a = 1, the least recently used, went first: it is built again, a = 1/2 is not
+        misses = cached_rho_table.cache_info().misses
+        cached_rho_table(a_list[1], u_max=2.0)
+        assert cached_rho_table.cache_info().misses == misses
+        cached_rho_table(a_list[0], u_max=2.0)
+        assert cached_rho_table.cache_info().misses == misses + 1
 
     def test_invalid_arguments_raise_before_lookup(self):
         cached_rho_table(Fraction(1), u_max=6.0)
