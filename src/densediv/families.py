@@ -242,11 +242,16 @@ class FamilyOracle:
         for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
             last = 1
             for d in divs:
-                # most answers are in the memo already: read it before calling
-                in_j = get((j, d))
-                if in_j is None:
-                    in_j = member(kind, d, j)
-                if in_j and (k == 0 or member(kind, n // d, k)):
+                # d is kept if d is in level j and n // d in level k; most
+                # answers are in the memo already: read it before calling
+                kept = get((j, d))
+                if kept is None:
+                    kept = member(kind, d, j)
+                if kept and k:
+                    kept = get((k, n // d))
+                    if kept is None:
+                        kept = member(kind, n // d, k)
+                if kept:
                     if d * qy > last * py:
                         ok = False
                         break

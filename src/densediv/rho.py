@@ -7,6 +7,15 @@ rho_a(u) = 1 for 0 <= u <= 1, and for u > 1 satisfies
 where omega is Buchstab's function.  The recurrence only consumes values
 rho_a(v) with v <= u-1, so a left-to-right sweep over the grid is exact.
 a = 0 reduces to Dickman's rho.
+
+The sweep (build_rho_table) integrates by composite Simpson on fixed
+panels.  It reads rho_a between grid points through one piecewise cubic,
+kept as per-interval coefficients that are computed once from finished rows
+(_cubic_coefficients) and evaluated by Horner's rule; the table's __call__
+reads the same cubic.  For a = 0 and a step 1/2^k the unit panels of a row
+sit on the grid, so they reduce to one dot of the grid values with
+Simpson-weighted omega on the grid, and only the panels below v = 1 and
+one fractional panel are evaluated node by node.
 """
 
 from __future__ import annotations
@@ -76,18 +85,39 @@ class RhoTable:
 
 
 def _interp_cubic(us: np.ndarray, vals: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    # 4-point Lagrange; stencils never straddle the kink at u=1
-    j = (x / h).astype(np.int64)
-    k1 = int(round(1.0 / h))
-    j0 = np.maximum(j - 1, np.where(j >= k1, k1, 0))
-    j0 = np.minimum(j0, len(us) - 4)
-    t = (x - us[j0]) / h
+    """The table's cubic at the points x of the grid us (u_j = j*h), as
+    build_rho_table reads it: the coefficients of x's grid index, then Horner."""
+    q = x / h
+    j = q.astype(np.int64)
+    c1, c2, c3 = _cubic_coefficients(vals, j, int(round(1.0 / h)))
+    return _horner(q - j, vals[j], c1, c2, c3)
+
+
+def _cubic_coefficients(vals: np.ndarray, j: np.ndarray, k1: int):
+    """(c1, c2, c3) of the cubic that serves [u_j, u_{j+1}), in powers of
+    s = x/h - j; its constant term is vals[j] itself.
+
+    The cubic interpolates vals at the 4 points from j0 = j - 1, moved so that
+    it never straddles the kink at u_k1 = 1 (all 4 points on one side) nor
+    runs past the table's end.  Below the kink the points are all 1.0, so
+    the coefficients are exactly 0.  They are the derivatives at u_j of the
+    Newton form on the forward differences d1, d2, d3 from j0.
+    """
+    n = len(vals) - 1
+    j0 = np.where(j < k1, np.minimum(j - 1, k1 - 3), np.maximum(j - 1, k1))
+    j0 = np.clip(j0, 0, n - 3)
     f0, f1, f2, f3 = vals[j0], vals[j0 + 1], vals[j0 + 2], vals[j0 + 3]
-    L0 = -(t - 1) * (t - 2) * (t - 3) / 6
-    L1 = t * (t - 2) * (t - 3) / 2
-    L2 = -t * (t - 1) * (t - 3) / 2
-    L3 = t * (t - 1) * (t - 2) / 6
-    return L0 * f0 + L1 * f1 + L2 * f2 + L3 * f3
+    d1, e1, e2 = f1 - f0, f2 - f1, f3 - f2
+    d2 = e1 - d1
+    d3 = (e2 - e1) - d2
+    o = j - j0  # u_j is point o of the stencil, 0 <= o <= 3
+    c1 = d1 + (o - 0.5) * d2 + ((3 * o - 6) * o + 2) / 6 * d3
+    c2 = (d2 + (o - 1) * d3) / 2
+    return c1, c2, d3 / 6
+
+
+def _horner(s, c0, c1, c2, c3):
+    return c0 + s * (c1 + s * (c2 + s * c3))
 
 
 def _grid(a, u_max: float, step) -> tuple[Fraction, Fraction, int]:
@@ -121,18 +151,48 @@ def build_rho_table(
     reaching at most three steps past v, so floor(1/h) - 3 consecutive rows
     depend on earlier rows alone: each such block is evaluated in a few
     numpy passes of whole rows, about _PASS_NODES Simpson nodes per pass.
+    Before a block, the cubic coefficients of every grid interval whose
+    stencil is final are computed once (_cubic_coefficients), so reading
+    rho_a at a node is a Horner step on its interval's coefficients.
+
+    For a = 0 and a step 1/2^k, every unit panel [u-m-1, u-m] >= 1 has
+    its nodes on the grid and omega's argument at grid multiples d*h, all
+    exact in binary: a row's chain of M unit panels is one dot of
+    rho_0(u - d*h) with c(d) * omega(d*h), c = 4 at odd d and 2 at even d
+    (1 at the chain's two ends), d = 1/h .. (M+1)/h.  omega is evaluated
+    once on the grid; only the panels below v = 1 and the one fractional
+    panel above it go through the node passes.  The panels, nodes and
+    weights are those of the node passes; only the order of the additions
+    differs.
     """
     a, step, n = _grid(a, u_max, step)
     af = float(a)
     h = float(step)
     us = h * np.arange(n + 1)
     vals = np.ones(n + 1)
+    k1 = int(round(1.0 / h))
+    coef = np.zeros((3, n + 1))
+    ready = 0  # coef holds the final coefficients of the intervals below it
+
+    unit_dot = a == 0 and step.numerator == 1 and step.denominator & (step.denominator - 1) == 0
+    if unit_dot:
+        om = buchstab_omega(us[k1:])  # omega(d h), d = k1..n
 
     block = math.floor(1 / step) - 3
     first = int(np.searchsorted(us, 1.0 + 1e-15, side="right"))
     for r0 in range(first, n + 1, block):
+        # intervals j <= r0 - 3 have stencils in rows < r0, all final; the
+        # block reads none beyond
+        coef[:, ready : r0 - 2] = _cubic_coefficients(vals, np.arange(ready, r0 - 2), k1)
+        ready = r0 - 2
         u = us[r0 : r0 + block]
         row, lo, hi, nsub = _panels(u, af, h)
+        if unit_dot:
+            unit = (lo >= 1.0) & (hi - lo == 1.0)
+            integral = _chain_integrals(r0, np.bincount(row[unit], minlength=len(u)), vals, om, k1, h)
+            row, lo, hi, nsub = row[~unit], lo[~unit], hi[~unit], nsub[~unit]
+        else:
+            integral = np.zeros(len(u))
         # cut the block into passes of whole rows at every _PASS_NODES nodes
         row_nodes = np.bincount(row, weights=nsub + 1, minlength=len(u))
         before = np.cumsum(row_nodes) - row_nodes
@@ -140,13 +200,29 @@ def build_rho_table(
         bounds = [0, *cuts.tolist(), len(u)]
         for ra, rb in zip(bounds[:-1], bounds[1:]):
             pa, pb = np.searchsorted(row, [ra, rb])
-            vals[r0 + ra : r0 + rb] = 1.0 - _row_integrals(
-                u[ra:rb], row[pa:pb] - ra, lo[pa:pb], hi[pa:pb], nsub[pa:pb], us, vals, h, af
+            integral[ra:rb] += _row_integrals(
+                u[ra:rb], row[pa:pb] - ra, lo[pa:pb], hi[pa:pb], nsub[pa:pb], vals, coef, h, af
             )
+        vals[r0 : r0 + block] = 1.0 - integral
 
     us.setflags(write=False)
     vals.setflags(write=False)
     return RhoTable(a=a, step=step, us=us, values=vals, accuracy=1e-8)
+
+
+def _chain_integrals(r0: int, chain: np.ndarray, vals, om, k1: int, h: float) -> np.ndarray:
+    """Simpson integral of rho_0 row r0 + i over its chain of chain[i] unit
+    panels, whose nodes are the grid points r0 + i - d, k1 <= d <= (chain[i]+1)*k1:
+    one dot of vals with c(d) * omega(d h) per row (om[d - k1] = omega(d h))."""
+    out = np.zeros(len(chain))
+    for m in sorted(set(chain.tolist()) - {0}):  # np.unique would import numpy.ma
+        top = k1 * (m + 1)
+        g = om[top - k1 :: -1] * np.where(np.arange(top, k1 - 1, -1) & 1, 4.0, 2.0)
+        g[[0, -1]] /= 2.0  # the chain's two end nodes weigh 1
+        for i in np.flatnonzero(chain == m).tolist():
+            r = r0 + i
+            out[i] = h / 3.0 * (vals[r - top : r - k1 + 1] @ g)
+    return out
 
 
 def _panels(u: np.ndarray, af: float, h: float):
@@ -174,11 +250,13 @@ def _panels(u: np.ndarray, af: float, h: float):
     return row, lo, hi, nsub
 
 
-def _row_integrals(u, row, lo, hi, nsub, us, vals, h, af) -> np.ndarray:
+def _row_integrals(u, row, lo, hi, nsub, vals, coef, h, af) -> np.ndarray:
     """Composite-Simpson integral of each row u over its panels, in one pass.
 
     Node k of a panel is lo + k*(hi-lo)/nsub with the last set to hi (as
-    np.linspace places them); the weights are 1, 4, 2, ..., 4, 1.
+    np.linspace places them); the weights are 1, 4, 2, ..., 4, 1.  rho_a at
+    a node v is the cubic of its grid interval j = floor(v/h), read from
+    vals[j] and coef[:, j]; below the kink that is exactly 1.
     """
     counts = nsub + 1
     end = np.cumsum(counts)
@@ -188,11 +266,12 @@ def _row_integrals(u, row, lo, hi, nsub, us, vals, h, af) -> np.ndarray:
     v[end - 1] = hi
     denom = 1.0 + af * v
     arg = np.maximum((np.repeat(u[row], counts) - v) / denom, 1.0)
-    rv = np.ones_like(v)
-    inner = v > 1.0
-    rv[inner] = _interp_cubic(us, vals, h, v[inner])
+    q = v / h
+    j = q.astype(np.int64)
+    c1, c2, c3 = coef
+    rv = _horner(q - j, vals[j], c1[j], c2[j], c3[j])
     f = rv * buchstab_omega(arg) / denom
-    w = np.where(k % 2 == 1, 4.0, 2.0)
+    w = np.where(k & 1, 4.0, 2.0)
     w[start] = 1.0
     w[end - 1] = 1.0
     panel = (hi - lo) / nsub / 3.0 * np.add.reduceat(w * f, start)

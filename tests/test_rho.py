@@ -141,6 +141,22 @@ class TestInvariants:
             assert np.all(prod[sel] <= 2.0 * cert.C), f"a=1/{i}"
 
 
+class TestCubic:
+    def test_exact_on_cubics_either_side_of_the_kink(self):
+        # the table's cubic reproduces 1 up to u = 1 and any cubic above it,
+        # in the intervals at the kink and at the table's end too
+        h = 1.0 / 128
+        us = h * np.arange(6 * 128 + 1)
+
+        def p(x):
+            return 1.0 + (x - 1.0) * (-0.7 + (x - 1.0) * (0.1 - 0.01 * (x - 1.0)))
+
+        vals = np.where(us <= 1.0, 1.0, p(us))
+        x = np.concatenate([np.linspace(0.0, 1.0, 97), np.linspace(1.0 + 1e-9, 6.0, 1001)])
+        want = np.where(x <= 1.0, 1.0, p(x))
+        assert np.max(np.abs(_interp_cubic(us, vals, h, x) - want)) < 1e-12
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 3), Fraction(1)])
     def test_prefix_of_longer_table(self, a):
@@ -151,14 +167,37 @@ class TestBatchedSweep:
         assert np.array_equal(short.values, long.values[: len(short.values)])
 
     @pytest.mark.parametrize(
-        "a, step",
-        [(Fraction(0), Fraction(1, 128)), (Fraction(1, 2), Fraction(1, 128)),
-         (Fraction(1, 2), Fraction(1, 256)), (Fraction(0), Fraction(1, 200))],
+        "a, step, u_max",
+        [(Fraction(0), Fraction(1, 128), 8.0), (Fraction(1, 2), Fraction(1, 128), 8.0),
+         (Fraction(1, 2), Fraction(1, 256), 8.0), (Fraction(0), Fraction(1, 200), 8.0),
+         # rows with up to 14 unit panels: rho_0's chain dot, and the
+         # coefficient read of a > 0 over as many omega pieces
+         (Fraction(0), Fraction(1, 128), 16.0), (Fraction(1, 2), Fraction(1, 128), 16.0)],
+        ids=[f"a{i}-step{i}" for i in range(6)],
     )
-    def test_matches_row_by_row_simpson(self, a, step):
+    def test_matches_row_by_row_simpson(self, a, step, u_max):
         # a block whose rows read a row of the same block sees its initial 1.0
-        t = build_rho_table(a, u_max=8.0, step=step)
-        assert np.max(np.abs(t.values - simpson_rows(a, 8.0, step))) < 1e-13
+        t = build_rho_table(a, u_max=u_max, step=step)
+        assert np.max(np.abs(t.values - simpson_rows(a, u_max, step))) < 1e-13
+
+    def test_rho0_omega_work(self, monkeypatch):
+        # rho_0 reads omega on the grid once per table for its unit panels;
+        # only the panels below v = 1 and the fractional panel above it take
+        # omega node by node, against every Simpson node of the table
+        h = 1.0 / 128
+        us = h * np.arange(30 * 128 + 1)
+        _, _, _, nsub = rho._panels(us[us > 1.0 + 1e-15], 0.0, h)
+        nodes = int(np.sum(nsub + 1))
+        assert nodes == 6_956_344
+        seen = []
+
+        def counting(x):
+            seen.append(np.size(x))
+            return buchstab_omega(x)
+
+        monkeypatch.setattr(rho, "buchstab_omega", counting)
+        build_rho_table(Fraction(0), u_max=30.0)
+        assert 0 < sum(seen) <= nodes // 4
 
 
 class TestCache:
