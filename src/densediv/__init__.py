@@ -47,7 +47,6 @@ from .integers import FactoredInteger, divisors, factorize, primes_upto, sieve_s
 from .rho import RhoTable, build_rho_table, cached_rho_table, rho_asymptotic, rho_closed_form_12
 from .specfun import (
     OmegaTable,
-    RationalSeries,
     b_coefficients,
     buchstab_omega,
     build_omega_table,

@@ -24,20 +24,16 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"not a rational: {text}") from exc
-
-
 class RationalParam(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
         if isinstance(value, Fraction):
             return value
-        return _fraction(str(value))
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise click.BadParameter(f"not a rational: {value}") from exc
 
 
 RATIONAL = RationalParam()
@@ -58,7 +54,7 @@ def _make_spec(family: str, y: Fraction, i: int | None, a: Fraction | None, squa
     return _guard(FamilySpec, family, y, **kwargs)
 
 
-def _emit(fmt: str, header: list[str], rows: list[list], plain_fn=None):
+def _emit(fmt: str, header: list[str], rows: list[list]):
     if fmt == "csv":
         click.echo(",".join(header))
         for r in rows:
@@ -66,11 +62,8 @@ def _emit(fmt: str, header: list[str], rows: list[list], plain_fn=None):
     elif fmt == "json":
         click.echo(json.dumps({"schema": 1, "columns": header, "rows": rows}, default=str))
     else:
-        if plain_fn is not None:
-            plain_fn(rows)
-        else:
-            for r in rows:
-                click.echo(" ".join(str(c) for c in r))
+        for r in rows:
+            click.echo(" ".join(str(c) for c in r))
 
 
 def _guard(fn, *args, **kwargs):
@@ -136,11 +129,13 @@ def count(family, y_, i_, a_, squarefree, x, fmt):
     """Count members up to x, with the x*rho_a(u) model when available."""
     spec = _make_spec(family, y_, i_, a_, squarefree)
     rep = _guard(families.count_family, spec, x)
-    model = f"{rep.model:.6f}" if rep.model else ""
-    ratio = f"{rep.ratio:.6f}" if rep.ratio else ""
-    rows = [[rep.x, rep.count, f"{rep.u:.6f}", model, ratio]]
-    _emit(fmt, ["x", "count", "u", "model", "ratio"], rows,
-          plain_fn=lambda rs: click.echo(rep.count))
+    if fmt == "plain":
+        click.echo(rep.count)
+    else:
+        model = f"{rep.model:.6f}" if rep.model else ""
+        ratio = f"{rep.ratio:.6f}" if rep.ratio else ""
+        _emit(fmt, ["x", "count", "u", "model", "ratio"],
+              [[rep.x, rep.count, f"{rep.u:.6f}", model, ratio]])
 
 
 @main.command()
@@ -176,7 +171,7 @@ def certificate(a_):
 @main.command("rho-table")
 @click.option("--a", "a_", type=RATIONAL, required=True)
 @click.option("--u-max", type=float, default=30.0)
-@click.option("--step", type=RATIONAL, default=Fraction(1, 128))
+@click.option("--step", type=RATIONAL, default=rho.DEFAULT_STEP)
 @click.option("--out", type=click.Path(), default="-")
 def rho_table(a_, u_max, step, out):
     """Tabulate rho_a and export CSV (u, rho, model, ratio)."""

@@ -651,7 +651,7 @@ def _squarefree_mask(limit: int) -> np.ndarray:
     return mask
 
 
-def phi_count(x: float, y: float | Fraction, squarefree: bool = False, spf=None) -> int:
+def phi_count(x: float, y: float | Fraction, squarefree: bool = False) -> int:
     """Phi(x,y) = |{1 <= n <= x : P^-(n) > y}| (mu^2(n)=1 too if squarefree).
 
     Counts n = 1 always (P^-(1) = +inf).  Exact for rational y since
@@ -660,11 +660,7 @@ def phi_count(x: float, y: float | Fraction, squarefree: bool = False, spf=None)
     if x < 1:
         return 0
     xi = int(math.floor(x))
-    t = int(Fraction(y)) if Fraction(y) == int(Fraction(y)) else math.floor(Fraction(y))
-    if spf is None or len(spf) <= xi:
-        spf = sieve_spf(max(xi, 2))
-    vals = spf[2 : xi + 1]
-    keep = vals > t
+    keep = sieve_spf(max(xi, 2))[2 : xi + 1] > math.floor(Fraction(y))
     if squarefree:
         keep = keep & _squarefree_mask(xi)[2 : xi + 1]
     return 1 + int(np.count_nonzero(keep))
@@ -768,12 +764,11 @@ def theta2_of(m: int, y: Fraction) -> Fraction:
     return y * max(divs[k - 1], m // divs[k] if k < len(divs) else 1)
 
 
-def check_theta2(n: int | FactoredInteger, y: Fraction | int, spf=None) -> bool:
+def check_theta2(n: int | FactoredInteger, y: Fraction | int) -> bool:
     """Dense(2) membership by definition (the oracle) equals the chain test
-    with theta(m) = y * max_{d | m, d in Dense(1)} min(m/d, d); spf, if given,
-    factorizes n."""
+    with theta(m) = y * max_{d | m, d in Dense(1)} min(m/d, d)."""
     y = Fraction(y)
-    f = n if isinstance(n, FactoredInteger) else factorize(n, spf)
+    f = n if isinstance(n, FactoredInteger) else factorize(n)
     spec = FamilySpec("dense", y, i=2)
     return is_member(f, spec) == _chain_member(spec, f)
 

@@ -131,9 +131,9 @@ def _mp_gammalow_down(s, z, K: int, tol) -> list:
     gamma(A, z) divided by A, i.e. it is carried like the homogeneous solution
     Gamma(A), and for real A > 0 the ratio gamma(A, z)/Gamma(A) grows as A
     decreases, so the relative error shrinks (upward, it would be multiplied
-    by A at each step).  With K >= 1 - Re s the top index has Re A >= 1 and
-    takes the series; the continued fraction is left for a K capped at _BMAX
-    below that.  Both come from specfun's routine, in mpmath arithmetic.
+    by A at each step).  With K >= 1 - Re s, which g_eval_series checks, the
+    top index has Re A >= 1 and takes the series of specfun's routine, in
+    mpmath arithmetic.
     """
     A = s + K
     tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
@@ -155,30 +155,25 @@ def _gl24(prec: int) -> tuple:
     return tuple(GaussLegendre(mp.mp).calc_nodes(4, prec))
 
 
-def _gl_panel(lo, hi) -> list:
-    """(u, half-width * weight) Gauss-Legendre pairs on [lo, hi]."""
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    return [(mid + half * x, half * w) for x, w in _gl24(mp.mp.prec)]
-
-
 @lru_cache(maxsize=1024)
-def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple]:
-    """log u and E1(u) at the nodes of the unit panel [m, m+1], at dps + 8
-    digits.  They do not depend on a, so every a shares one evaluation."""
+def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple, tuple]:
+    """The Gauss-Legendre (u, half-width * weight) pairs of the unit panel
+    [m, m+1], with log u and E1(u) there, at dps + 8 digits.  They do not
+    depend on a, so every a shares one evaluation."""
     with mp.workdps(dps + 8):
-        nodes = _gl_panel(mp.mpf(m), mp.mpf(m + 1))
-        return tuple(mp.log(u) for u, _ in nodes), tuple(mp.e1(u) for u, _ in nodes)
+        lo, hi = mp.mpf(m), mp.mpf(m + 1)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        nodes = tuple((mid + half * x, half * w) for x, w in _gl24(mp.mp.prec))
+        return nodes, tuple(mp.log(u) for u, _ in nodes), tuple(mp.e1(u) for u, _ in nodes)
 
 
 @lru_cache(maxsize=4096)
 def _h2_panel(a: Fraction, dps: int, m: int) -> tuple[tuple, tuple]:
     """log u and the weighted W(u) = exp(-u/a + E1(u)) at the nodes of the
     unit panel [m, m+1], at dps + 8 digits; only exp(-u/a) is computed per a."""
-    lnxs, e1s = _e1_unit_panel(dps, m)
+    nodes, lnxs, e1s = _e1_unit_panel(dps, m)
     with mp.workdps(dps + 8):
         z = mp.mpf(a.denominator) / mp.mpf(a.numerator)
-        nodes = _gl_panel(mp.mpf(m), mp.mpf(m + 1))
         return lnxs, tuple(hw * mp.exp(-u * z + e1) for (u, hw), e1 in zip(nodes, e1s))
 
 
@@ -220,18 +215,15 @@ def _default_K(a: Fraction, s: complex, target: float = 1e-12) -> int:
     return min(max(K, kmin), _BMAX)
 
 
-def g_eval_series(
-    a: Fraction | int | float,
-    s: complex | float,
-    K: int | None = None,
-    dps: int = 40,
-) -> tuple[complex, float]:
+def g_eval_series(a: Fraction | int | float, s: complex | float, dps: int = 40) -> tuple[complex, float]:
     """g_a(s) by the h_1 series + h_2 integral route; returns (value, bound).
 
-    ``bound`` is the explicit truncation estimate; arithmetic error is kept
-    below it by escalating the working precision whenever the summation is
-    observed to cancel.  s at a non-positive integer is a removable point of
-    the normalization: use g_eval_neg_int there.
+    The series holds K = _default_K(a, s) terms.  ``bound`` is the explicit
+    truncation estimate; arithmetic error is kept below it by escalating the
+    working precision whenever the summation is observed to cancel.  s at a
+    non-positive integer is a removable point of the normalization: use
+    g_eval_neg_int there.  Past Re s = -257 the K <= _BMAX terms cannot meet
+    K >= 1 - Re s, and the route refuses.
     """
     a = Fraction(a) if not isinstance(a, Fraction) else a
     if a <= 0:
@@ -239,11 +231,9 @@ def g_eval_series(
     sc = complex(s)
     if _at_nonpositive_integer(sc):
         raise DomainError("use g_eval_neg_int at non-positive integers")
-    if K is None:
-        K = _default_K(a, sc)
+    K = _default_K(a, sc)
     if K < 1.0 - sc.real:
         raise DomainError(f"K={K} violates K >= 1 - Re(s) = {1.0 - sc.real}")
-    K = min(K, _BMAX)
     b = b_coefficients(_BMAX)
     bound = g_series_error_bound(a, sc, K)
 
@@ -281,22 +271,26 @@ def g_eval_series(
 _GLX24, _GLW24 = np.polynomial.legendre.leggauss(24)
 
 
+def _gl_float_nodes(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """The Gauss-Legendre rule (x, w) on [-1, 1] carried to each panel
+    [lo, hi]: its nodes and weights, panel by panel."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+
 @lru_cache(maxsize=32)
 def _h2_float_nodes(a: Fraction):
     z = float(a.denominator) / float(a.numerator)
     U = max(3.0, 1.0 + 42.0 * math.log(10.0) / z)
     edges = np.arange(1.0, math.ceil(U) + 1.0)
-    lo, hi = edges[:-1], np.minimum(edges[1:], U)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    u = (mid[:, None] + half[:, None] * _GLX24[None, :]).ravel()
-    w = (half[:, None] * _GLW24[None, :]).ravel()
+    u, w = _gl_float_nodes(edges[:-1], np.minimum(edges[1:], U), _GLX24, _GLW24)
     return np.log(u), w * np.exp(-u * z + _special().exp1(u))
 
 
 @lru_cache(maxsize=1)
 def _b_float() -> tuple[float, ...]:
     """b_0..b_BMAX as floats, converted once per process."""
-    return tuple(float(x) for x in b_coefficients(_BMAX).coefficients)
+    return tuple(float(x) for x in b_coefficients(_BMAX))
 
 
 def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
@@ -369,12 +363,9 @@ def _integral_nodes(a: float, sigma_min: float, im_max: float):
         nsub = max(1, int(math.ceil(dphase / 2.0)))
         for k in range(nsub):
             panels.append((lo + (hi - lo) * k / nsub, lo + (hi - lo) * (k + 1) / nsub))
-    lo = np.array([p[0] for p in panels])
-    hi = np.array([p[1] for p in panels])
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    U = (mid[:, None] + half[:, None] * _GLX16[None, :]).ravel()
-    W = (half[:, None] * _GLW16[None, :]).ravel() * (buchstab_omega(U) - EXP_NEG_GAMMA)
-    return U, W, np.log1p(a * U)
+    lo, hi = np.array(panels).T
+    U, W = _gl_float_nodes(lo, hi, _GLX16, _GLW16)
+    return U, W * (buchstab_omega(U) - EXP_NEG_GAMMA), np.log1p(a * U)
 
 
 def g_eval_integral_many(a: Fraction | float, s_values) -> np.ndarray:
@@ -460,11 +451,16 @@ _RESIDUE_RTOL = 1e-6
 _SCAN_MAX = math.floor(_BMAX - 1 - _CONTOUR_R)
 
 
+def _dps(a: Fraction) -> int:
+    """The working digits of find_lambda's and residue_C's high-precision samples."""
+    return max(40, int(20 + 1.4 / float(a)))
+
+
 @lru_cache(maxsize=64)
 def _find_lambda(a: Fraction) -> ZeroCertificate:
     if a <= 0:
         raise DomainError("a must be > 0")
-    dps = max(40, int(20 + 1.4 / float(a)))
+    dps = _dps(a)
     n_cap = int(math.ceil((2.0 / float(a)) * (math.log(1.0 / float(a)) + 2.0))) + 10
     prev = g_eval_neg_int(a, 0)
     if prev <= 0:
@@ -528,7 +524,7 @@ def _find_lambda(a: Fraction) -> ZeroCertificate:
         g_lam = g_full(lam)
         residual = abs(g_lam) * float(a) * math.exp(EULER_GAMMA)
     return ZeroCertificate(
-        a=a, lam=lam, C=residue_C(a, lam, dps=dps), bracket=bracket,
+        a=a, lam=lam, C=residue_C(a, lam), bracket=bracket,
         bracket_signs=(prev, cur), residual=residual,
     )
 
@@ -548,7 +544,7 @@ def _complex_step_derivative(a: Fraction, x: float) -> tuple[float, float]:
     return (4 * d[1] - d[0]) / 3, (4 * e[1] + e[0]) / 3
 
 
-def residue_C(a: Fraction, lam: float, dps: int = 40) -> float:
+def residue_C(a: Fraction, lam: float) -> float:
     """C_a = 1/g_a'(-lambda_a), from a circular contour quadrature of 1/g_a,
     checked against the derivative; the two must agree to _RESIDUE_RTOL.
 
@@ -557,9 +553,11 @@ def residue_C(a: Fraction, lam: float, dps: int = 40) -> float:
     with no cancellation, and Richardson over h in {1e-2, 5e-3} removes the
     h^2 term.  Where it is not finite or its noise is above _RESIDUE_RTOL/100
     of it, the check falls back to Richardson central differences in high
-    precision.
+    precision.  The high-precision samples of both routes run at _dps(a)
+    digits, as find_lambda's do.
     """
     a = Fraction(a)
+    dps = _dps(a)
     deriv, err = _complex_step_derivative(a, -lam)
     if not (math.isfinite(deriv) and err <= _RESIDUE_RTOL / 100 * abs(deriv)):
 

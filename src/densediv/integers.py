@@ -106,52 +106,42 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def factorize(n: int, spf: np.ndarray | None = None) -> FactoredInteger:
-    """Factor n >= 1 into a FactoredInteger.
+def factorize(n: int) -> FactoredInteger:
+    """Factor n >= 1 into a FactoredInteger by trial division.
 
-    Uses the spf table when it covers n, trial division otherwise.  Raises
-    ResourceLimitError when trial division would pass TRIAL_DIVISION_LIMIT.
+    Raises ResourceLimitError when trial division would pass
+    TRIAL_DIVISION_LIMIT.
     """
     if n < 1:
         raise DomainError(f"positive integer required, got {n}")
-    if n == 1:
-        return FactoredInteger(1, ())
     factors = []
-    if spf is not None and n < len(spf):
-        m = n
-        while m > 1:
-            p = int(spf[m])
+    m = n
+    d = 2
+    stop = min(math.isqrt(m), TRIAL_DIVISION_LIMIT)
+    while d <= stop:
+        if m % d == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 e += 1
-            factors.append((p, e))
-    else:
-        m = n
-        d = 2
-        stop = min(math.isqrt(m), TRIAL_DIVISION_LIMIT)
-        while d <= stop:
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                factors.append((d, e))
-                stop = min(math.isqrt(m), TRIAL_DIVISION_LIMIT)
-            d += 1 if d == 2 else 2
-        if d * d <= m:
-            raise ResourceLimitError(
-                f"factoring {n} needs trial division past {TRIAL_DIVISION_LIMIT}"
-            )
-        if m > 1:
-            factors.append((m, 1))
+            factors.append((d, e))
+            stop = min(math.isqrt(m), TRIAL_DIVISION_LIMIT)
+        d += 1 if d == 2 else 2
+    if d * d <= m:
+        raise ResourceLimitError(
+            f"factoring {n} needs trial division past {TRIAL_DIVISION_LIMIT}"
+        )
+    if m > 1:
+        factors.append((m, 1))
     return FactoredInteger(n, tuple(factors))
 
 
-def divisors(f: FactoredInteger, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
-    """All divisors of f.n in increasing order."""
-    if f.divisor_count() > cap:
-        raise ResourceLimitError(f"{f.n} has {f.divisor_count()} divisors, cap is {cap}")
+def divisors(f: FactoredInteger) -> list[int]:
+    """All divisors of f.n in increasing order, at most DEFAULT_DIVISOR_CAP."""
+    if f.divisor_count() > DEFAULT_DIVISOR_CAP:
+        raise ResourceLimitError(
+            f"{f.n} has {f.divisor_count()} divisors, cap is {DEFAULT_DIVISOR_CAP}"
+        )
     divs = [1]
     for p, e in f.factors:
         pk = 1

@@ -287,10 +287,10 @@ def _cached_build(a: Fraction, step: Fraction, n: int) -> RhoTable:
     return build_rho_table(a, n * step, step)
 
 
-def cached_rho_table(a, u_max: float = 30.0, step=DEFAULT_STEP) -> RhoTable:
-    """build_rho_table(a, u_max, step), process-wide cached by the grid (a, step, n)
+def cached_rho_table(a, u_max: float) -> RhoTable:
+    """build_rho_table(a, u_max), process-wide cached by the grid (a, DEFAULT_STEP, n)
     it covers, at most _CACHE_KEYS grids.  Arguments are checked before the lookup."""
-    return _cached_build(*_grid(a, u_max, step))
+    return _cached_build(*_grid(a, u_max, DEFAULT_STEP))
 
 
 cached_rho_table.cache_info = _cached_build.cache_info

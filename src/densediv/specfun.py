@@ -49,17 +49,11 @@ _OMEGA_UMAX = 13.0
 
 @dataclass(frozen=True)
 class OmegaTable:
-    """Dense-output table of Buchstab's function on [3, u_max]."""
+    """Dense-output table of Buchstab's function on [3, 13], one row per OMEGA_STEP."""
 
-    step: float
-    u0: float
     us: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-
-    @property
-    def u_max(self) -> float:
-        return float(self.us[-1])
 
 
 def _omega_23(u: float) -> float:
@@ -69,11 +63,20 @@ def _omega_23(u: float) -> float:
 def _hermite(s, h, y0, d0, y1, d1):
     """Cubic Hermite interpolant at fraction s of a step h that runs from value
     y0, derivative d0 to value y1, derivative d1 (scalars or arrays)."""
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
+    r2 = (1 - s) ** 2
+    s2 = s * s
+    h00 = (1 + 2 * s) * r2
+    h10 = s * r2
+    h01 = s2 * (3 - 2 * s)
+    h11 = s2 * (s - 1)
     return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
+
+
+def _omega_hermite(t: np.ndarray, us: np.ndarray, w: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """omega at t >= 3 from the rows (us, w, wd) of the table: the Hermite
+    cubic of t's row interval, the last interval serving t past the end."""
+    j = np.minimum(((t - 3.0) / OMEGA_STEP).astype(np.int64), len(us) - 2)
+    return _hermite((t - us[j]) / OMEGA_STEP, OMEGA_STEP, w[j], wd[j], w[j + 1], wd[j + 1])
 
 
 @lru_cache(maxsize=1)
@@ -99,9 +102,7 @@ def build_omega_table() -> OmegaTable:
         out = np.empty_like(t)
         low = t < 3.0
         out[low] = [_omega_23(x) for x in t[low].tolist()]
-        t = t[~low]
-        j = np.minimum(((t - 3.0) / step).astype(np.int64), n - 1)
-        out[~low] = _hermite((t - us[j]) / step, step, w[j], wd[j], w[j + 1], wd[j + 1])
+        out[~low] = _omega_hermite(t[~low], us, w, wd)
         return out.tolist()
 
     def f(u: float, past: float, val: float) -> float:
@@ -128,7 +129,7 @@ def build_omega_table() -> OmegaTable:
     us.setflags(write=False)
     w.setflags(write=False)
     wd.setflags(write=False)
-    return OmegaTable(step=step, u0=3.0, us=us, values=w, derivs=wd)
+    return OmegaTable(us=us, values=w, derivs=wd)
 
 
 def buchstab_omega(u) -> float | np.ndarray:
@@ -151,10 +152,7 @@ def buchstab_omega(u) -> float | np.ndarray:
     out[m2] = (1.0 + np.log(t2 - 1.0)) / t2
     t3 = arr[m3]
     if t3.size:
-        h = tab.step
-        j = np.minimum(((t3 - 3.0) / h).astype(np.int64), len(tab.us) - 2)
-        w, wd = tab.values, tab.derivs
-        out[m3] = _hermite((t3 - tab.us[j]) / h, h, w[j], wd[j], w[j + 1], wd[j + 1])
+        out[m3] = _omega_hermite(t3, tab.us, tab.values, tab.derivs)
     out[m4] = EXP_NEG_GAMMA
     if np.isscalar(u) or arr.ndim == 0:
         return float(out)
@@ -223,26 +221,8 @@ def entire_I(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """Exact rational power series coefficients up to index K."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
-    def eval_float(self, u: float) -> float:
-        tot = 0.0
-        uk = 1.0
-        for c in self.coefficients:
-            tot += float(c) * uk
-            uk *= u
-        return tot
-
-
 @lru_cache(maxsize=8)
-def b_coefficients(K: int) -> RationalSeries:
+def b_coefficients(K: int) -> tuple[Fraction, ...]:
     """Exact b_0..b_K via formal exponentiation of -I(-u).
 
     -I(-u) = sum_{k>=1} (-1)^{k+1} u^k/(k*k!), so with c_k that coefficient,
@@ -266,7 +246,7 @@ def b_coefficients(K: int) -> RationalSeries:
         B.append(tot)
         sq_fact *= n * n
         b.append(Fraction(tot, sq_fact))
-    return RationalSeries(tuple(b))
+    return tuple(b)
 
 
 # ---------------------------------------------------------------------------

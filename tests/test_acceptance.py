@@ -29,7 +29,6 @@ from densediv.gzero import (
     g_eval_series,
     locate_zero_in_rect,
 )
-from densediv.integers import sieve_spf
 from densediv.reference import C_TABLE, LAMBDA_TABLE, truncate_matches, within_one_ulp
 from densediv.rho import cached_rho_table, rho_closed_form_12
 from densediv.specfun import k_oscillatory, k_zeros
@@ -146,9 +145,8 @@ def test_criterion_6_exact_identities():
         for beta in (Fraction(1), Fraction(2))
         for y in (Fraction(2), Fraction(3))
     )
-    spf = sieve_spf(X)
     theta2_ok = all(
-        check_theta2(n, y, spf) for y in (Fraction(2), Fraction(3)) for n in range(1, X + 1)
+        check_theta2(n, y) for y in (Fraction(2), Fraction(3)) for n in range(1, X + 1)
     )
     ok = phi_ok and ssf_ok and theta2_ok
     _report(6, "exact Phi / Schinzel-Szekeres / theta_2 identities to 1e4", ok,

@@ -388,9 +388,9 @@ class TestOracleCache:
 
         calls = []
 
-        def counting(n, spf=None):
+        def counting(n):
             calls.append(n)
-            return factorize(n, spf)
+            return factorize(n)
 
         monkeypatch.setattr(families, "factorize", counting)
         for kind, n, i in (("dense", 8424, 3), ("strongdense", 65520, 4)):
@@ -784,11 +784,11 @@ class TestPhiCount:
         assert phi_count(0.5, 2) == 0
         assert phi_count(10, 2, squarefree=True) == 4  # drops 9
 
-    def test_matches_direct_scan(self, spf_1e4):
+    def test_matches_direct_scan(self):
         for x, y in ((100, 3), (999, 7), (5000, 2)):
             expect = 1 + sum(
                 1
                 for n in range(2, x + 1)
-                if factorize(n, spf_1e4).p_minus > y
+                if factorize(n).p_minus > y
             )
-            assert phi_count(x, y, spf=spf_1e4) == expect
+            assert phi_count(x, y) == expect

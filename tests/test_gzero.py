@@ -92,8 +92,9 @@ class TestSeriesRoute:
         assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
 
     def test_K_too_small(self):
+        # past Re s = -257 the K <= 258 terms cannot meet K >= 1 - Re s
         with pytest.raises(DomainError):
-            g_eval_series(Fraction(1), complex(-8.5, 0), K=4)
+            g_eval_series(Fraction(1), complex(-300.5, 0))
 
     def test_pole_points_rejected(self):
         with pytest.raises(DomainError):
@@ -427,10 +428,6 @@ class TestResidue:
         assert again == pytest.approx(cert.C, rel=1e-9)
 
     @staticmethod
-    def _dps(a):
-        return max(40, int(20 + 1.4 / float(a)))
-
-    @staticmethod
     def _mp_derivative(a, lam, dps):
         # Richardson central differences of the high-precision series route
         def gr(x):
@@ -460,7 +457,7 @@ class TestResidue:
         lam = find_lambda(a).lam
         deriv, err = gzero._complex_step_derivative(a, -lam)
         assert err <= 1e-8 * abs(deriv)  # below the fallback margin
-        ref = self._mp_derivative(a, lam, self._dps(a))
+        ref = self._mp_derivative(a, lam, gzero._dps(a))
         assert deriv == pytest.approx(ref, rel=1e-7)
 
     def test_fallback_past_the_noise_margin(self, monkeypatch):
@@ -468,14 +465,14 @@ class TestResidue:
         a = Fraction(1, 20)
         cert = find_lambda(a)
         calls = self._count_mp_calls(monkeypatch)
-        assert residue_C(a, cert.lam, dps=self._dps(a)) == cert.C
+        assert residue_C(a, cert.lam) == cert.C
         assert len(calls) == 4
 
     def test_no_mp_evaluation_below_the_margin(self, monkeypatch):
         a = Fraction(1, 2)
         cert = find_lambda(a)
         calls = self._count_mp_calls(monkeypatch)
-        assert residue_C(a, cert.lam, dps=self._dps(a)) == cert.C
+        assert residue_C(a, cert.lam) == cert.C
         assert calls == []
 
     def test_forced_fallback_keeps_C(self, monkeypatch):
@@ -489,7 +486,7 @@ class TestResidue:
 
         monkeypatch.setattr(gzero, "_g_series_float", noisy)
         calls = self._count_mp_calls(monkeypatch)
-        assert residue_C(a, cert.lam, dps=self._dps(a)) == cert.C
+        assert residue_C(a, cert.lam) == cert.C
         assert len(calls) == 4
 
     def test_disagreement_raises(self, monkeypatch):
@@ -504,7 +501,7 @@ class TestResidue:
 
         monkeypatch.setattr(gzero, "_g_series_float", skewed)
         with pytest.raises(NumericalConsistencyError, match="residue routes disagree"):
-            residue_C(a, cert.lam, dps=self._dps(a))
+            residue_C(a, cert.lam)
 
 
     @pytest.mark.parametrize("route", ["contour", "derivative"])
@@ -523,7 +520,7 @@ class TestResidue:
                 lambda a_, s, *args, **kw: nan if abs(s + lam) < 1e-3 else orig(a_, s, *args, **kw),
             )
         with pytest.raises(NumericalConsistencyError, match="residue routes disagree"):
-            residue_C(a, lam, dps=self._dps(a))
+            residue_C(a, lam)
 
 
 class TestHBound:

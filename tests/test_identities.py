@@ -17,7 +17,7 @@ from densediv.families import (
     is_member,
     schinzel_szekeres,
 )
-from densediv.integers import factorize, sieve_spf
+from densediv.integers import factorize
 
 
 class TestPhiIdentity:
@@ -102,15 +102,15 @@ class TestTheta2:
     def test_trivial(self):
         assert check_theta2(1, Fraction(2))
 
-    def test_up_to_32_both_y(self, spf_1e4):
+    def test_up_to_32_both_y(self):
         for y in (Fraction(2), Fraction(3)):
             for n in range(1, 33):
-                assert check_theta2(n, y, spf_1e4)
+                assert check_theta2(n, y)
 
-    def test_medium_range(self, spf_1e4):
+    def test_medium_range(self):
         for y in (Fraction(2), Fraction(3)):
             for n in range(1, 2001):
-                assert check_theta2(n, y, spf_1e4), (n, y)
+                assert check_theta2(n, y), (n, y)
 
 
 class TestFactorizationLemma:

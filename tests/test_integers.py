@@ -66,8 +66,15 @@ class TestFactorize:
         assert factorize(65520).factors == ((2, 4), (3, 2), (5, 1), (7, 1), (13, 1))
 
     def test_with_sieve_matches_without(self, spf_1e4):
+        # trial division against the factorization read off the sieve
         for n in range(1, 5000):
-            assert factorize(n, spf_1e4) == factorize(n)
+            factors, m = [], n
+            while m > 1:
+                p, e = int(spf_1e4[m]), 0
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                factors.append((p, e))
+            assert factorize(n).factors == tuple(factors)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=300, deadline=None)
@@ -111,9 +118,12 @@ class TestDivisors:
         assert all(n % d == 0 for d in divs)
 
     def test_cap(self):
-        f = factorize(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19)
+        # the first 21 primes: 2**21 divisors, past DEFAULT_DIVISOR_CAP = 2**20
+        primes = primes_upto(73)
+        assert len(primes) == 21
+        f = FactoredInteger(math.prod(primes), tuple((p, 1) for p in primes))
         with pytest.raises(ResourceLimitError):
-            divisors(f, cap=100)
+            divisors(f)
 
 
 def test_primes_upto():

@@ -241,7 +241,7 @@ class TestCache:
         with pytest.raises(DomainError):
             cached_rho_table(Fraction(1), u_max=0.0)
         with pytest.raises(DomainError):
-            cached_rho_table(Fraction(1), u_max=2.0, step=Fraction(1, 64))
+            cached_rho_table(Fraction(-1), u_max=2.0)
 
 
 class TestAsymptoticModel:
