@@ -91,60 +91,68 @@ class CountReport:
 # ---------------------------------------------------------------------------
 
 
-def _kth_root_floor(num: int, k: int) -> int:
-    """floor(num**(1/k)) for num >= 0, exact (integer Newton)."""
-    if num < 0:
-        raise DomainError("negative radicand")
-    if k == 1 or num == 0:
+def _kth_root(num: np.ndarray, k: int) -> np.ndarray:
+    """floor(num ** (1/k)) of every entry of num >= 0, exact: r^k <= num < (r + 1)^k.
+
+    Below 2**63 the float root r lies within 1 of it, and one integer step
+    down, then one up, corrects r; the steps run in int32, int64 or Python
+    ints, sized by the largest power they form (_exact).  Python ints may be
+    past any float: an entry past 2**1000 is guessed from num >> s, s a
+    multiple of k, shifted back by s / k.  The guess g becomes g + g / 2**40 + 2,
+    above the root, and integer Newton steps r <- ((k - 1) r + num // r^(k-1)) // k
+    fall from there to the root and stop.
+    """
+    if k == 1:
         return num
-    r = 1 << -(-num.bit_length() // k)  # upper start: r^k >= num
+    if num.dtype != object:
+        r = (num ** (1.0 / k)).astype(np.int64)
+        num = _exact(num, (int(r.max()) + 2) ** k)  # above num, since r + 1 > the root
+        r = r.astype(num.dtype, copy=False)
+        r -= r**k > num
+        return r + ((r + 1) ** k <= num)
+    vals = num.tolist()
+    shift = [max(v.bit_length() - 1000, 0) // k for v in vals]
+    guess = [int(float(v >> (s * k)) ** (1.0 / k)) for v, s in zip(vals, shift)]
+    r = np.array([(g + (g >> 40) + 2) << s for g, s in zip(guess, shift)], dtype=object)
     while True:
-        r2 = ((k - 1) * r + num // r ** (k - 1)) // k
-        if r2 >= r:
-            break
-        r = r2
-    while r**k > num:
-        r -= 1
-    while (r + 1) ** k <= num:
-        r += 1
-    return r
+        step = ((k - 1) * r + num // np.maximum(r, 1) ** (k - 1)) // k
+        fall = step < r
+        if not fall.any():
+            return r
+        r = np.where(fall, step, r)
 
 
-def theta_floor(spec: FamilySpec, m: int) -> int:
-    """Exact floor(theta(m)) for a chain family; P^-(n) > theta(m) iff
-    P^-(n) > theta_floor since prime factors are integers.
+def _theta(spec: FamilySpec, m: np.ndarray) -> np.ndarray:
+    """Exact floor(theta(m)) of every node m (int64 or Python ints) of a chain
+    family; p <= theta(m) iff p <= floor(theta(m)) since primes are integers.
 
-    Dense(2) is the chain family of theta_2 (see theta2_of), the identity
-    check_theta2 verifies against the definition."""
-    if spec.kind == "dense" and spec.i == 2:
-        return math.floor(theta2_of(m, spec.y))
+    With a = pa/qa (1/i for the i-kinds), theta = y m^a for bpower and
+    ThetaUpper, so theta^qa = y^qa m^pa, and theta = max(y, (y m)^a) for
+    bstar and ThetaLower, so the root is of (y m)^pa.  The products are int32,
+    int64 or Python ints, sized by the largest (_exact).  Dense(2) is the
+    chain family of theta_2 (see theta2_of), the identity check_theta2
+    verifies against the definition; its theta is read node by node.
+    """
     py, qy = spec.y.numerator, spec.y.denominator
-    kind = spec.kind
-    if kind == "smooth":
-        return py // qy
-    if kind == "bpower":
-        pa, qa = spec.a.numerator, spec.a.denominator
-        return _kth_root_floor(py**qa * m**pa // qy**qa, qa)
-    if kind == "thetaupper":
-        i = spec.i
-        return _kth_root_floor(py**i * m // qy**i, i)
-    if kind == "bstar":
-        pa, qa = spec.a.numerator, spec.a.denominator
-        return max(py // qy, _kth_root_floor(py**pa * m**pa // qy**pa, qa))
-    if kind == "thetalower":
-        i = spec.i
-        return max(py // qy, _kth_root_floor(py * m // qy, i))
-    raise DomainError(f"{kind} is not a chain family")
+    if spec.kind == "smooth":
+        return np.full(len(m), py // qy)
+    if spec.kind == "dense":
+        return np.array([math.floor(theta2_of(v, spec.y)) for v in m.tolist()], dtype=m.dtype)
+    pa, qa = (spec.a.numerator, spec.a.denominator) if spec.a is not None else (1, spec.i)
+    upper = spec.kind in ("bpower", "thetaupper")
+    c, d = (py**qa, qy**qa) if upper else (py**pa, qy**pa)
+    m = _exact(m, c * int(m.max()) ** pa)
+    t = _kth_root(c * m**pa // d, qa)
+    return t if upper else np.maximum(t, py // qy)
 
 
 def _chain_member(spec: FamilySpec, f: FactoredInteger) -> bool:
-    """Membership in a chain family from the sorted primes; squarefree is the caller's check."""
-    m = 1
-    for p in f.prime_list():
-        if p > theta_floor(spec, m):
-            return False
-        m *= p
-    return True
+    """Membership in a chain family from the sorted primes, each against the
+    theta of the product before it; squarefree is the caller's check."""
+    if f.n == 1:
+        return True
+    ps = np.array(f.prime_list(), dtype=np.int64 if f.n < 2**63 else object)
+    return bool(np.all(ps <= _theta(spec, np.cumprod(ps) // ps)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,47 +316,73 @@ def _prime_ceiling(spec: FamilySpec, x: int) -> int:
     return min(x, int(max(base, alt, yf)) + 10)
 
 
-# the members above 1 that one chain-tree walk may visit
+# the nodes one chain-tree walk may push, and the members one walk may collect
 _NODE_BUDGET = 200_000_000
+# the children one step of the walk expands
+_BATCH = 1 << 12
 
 
 def _iter_tree(spec: FamilySpec, x: int, collect: bool):
-    """DFS over nondecreasing prime chains p <= theta_floor(m); every node is a member.
+    """DFS over nondecreasing prime chains p <= theta(m), a batch of nodes at a
+    time; every node is a member.  Returns the count and, if collect, the
+    members as an array, unsorted.
 
     The children of node m are the primes from P^+(m) (strictly above it when
-    squarefree) up to min(theta(m), x // m); one bisect counts them all.  Only
-    children with p <= isqrt(x // m) are pushed: a larger p has m p^2 > x, so
-    m p has no child.  _NODE_BUDGET bounds the number of members above 1.
+    squarefree) up to min(theta(m), x // m); one searchsorted per batch counts
+    them all.  Only children with p^2 <= x // m are pushed: a larger p has
+    m p^2 > x, so m p has no child.  A stack entry holds the nodes of one
+    batch that have children to push, with the range of prime indices left to
+    each.  A step takes _BATCH children from the top entry (a lone node with
+    more gives its first _BATCH) and leaves the rest there, so the stack holds
+    at most one entry per depth.  Nodes are int64 below 2**63 and Python ints
+    past it.  _NODE_BUDGET bounds the nodes pushed, and the members collected.
     """
     if x < 1:
         raise DomainError("x must be >= 1")
-    primes = primes_upto(_prime_ceiling(spec, x))
-    members = [1] if collect else None
-    count = 1
+    dtype = np.int64 if x < 2**63 else object
+    primes = np.array(primes_upto(_prime_ceiling(spec, x)), dtype=dtype)
+    squares = primes**2
+    cap = min(x, int(squares[-1]) if len(primes) else 1)  # x // m past it decides the same
     step = 1 if spec.squarefree else 0
-    stack = [(1, 0)]
-    while stack:
-        m, i0 = stack.pop()
-        lim = x // m
-        hi = bisect_right(primes, min(theta_floor(spec, m), lim))
-        if hi <= i0:
-            continue
-        count += hi - i0
-        if count - 1 > _NODE_BUDGET:
-            raise ResourceLimitError("enumeration node budget exceeded")
+    m = np.ones(1, dtype=dtype)
+    i0 = np.zeros(1, dtype=np.int64)
+    count, pushed, stack = 1, 0, []
+    members = [m] if collect else None
+    while True:
+        lim = np.minimum(x // m, cap).astype(np.int64, copy=False)
+        hi = np.searchsorted(primes, np.minimum(_theta(spec, m), lim).astype(np.int64, copy=False), "right")
+        c = np.maximum(hi - i0, 0)
+        count += int(c.sum())
         if collect:
-            members.extend([m * p for p in primes[i0:hi]])
-        inner = min(hi, bisect_right(primes, math.isqrt(lim)))
-        stack.extend([(m * primes[idx], idx + step) for idx in range(i0, inner)])
-    return count, members
+            if count - 1 > _NODE_BUDGET:
+                raise ResourceLimitError("enumeration member budget exceeded")
+            members.append(np.repeat(m, c) * primes[_ranges(i0, c)])
+        inner = np.minimum(hi, np.searchsorted(squares, lim, "right"))
+        keep = inner > i0
+        if keep.any():
+            stack.append((m[keep], i0[keep], inner[keep]))
+        if not stack:
+            return count, np.concatenate(members) if collect else None
+        m, lo, hi = stack.pop()
+        c = hi - lo
+        take = int(np.searchsorted(np.cumsum(c), _BATCH, "right"))
+        if take == 0:  # the first node alone has more than _BATCH children
+            take, c = 1, np.minimum(c[:1], _BATCH)
+            stack.append((m, np.concatenate((lo[:1] + _BATCH, lo[1:])), hi))
+        elif take < len(m):
+            stack.append((m[take:], lo[take:], hi[take:]))
+        m, lo, c = m[:take], lo[:take], c[:take]
+        idx = _ranges(lo, c)
+        pushed += len(idx)
+        if pushed > _NODE_BUDGET:
+            raise ResourceLimitError("enumeration node budget exceeded")
+        m, i0 = np.repeat(m, c) * primes[idx], idx + step
 
 
 def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
     """All members of the family up to x, sorted increasing."""
     if _is_chain(spec):
-        _, members = _iter_tree(spec, x, collect=True)
-        members.sort()
-        return members
+        return np.sort(_iter_tree(spec, x, collect=True)[1]).tolist()
     return np.flatnonzero(_bulk_level(spec, x)).tolist()
 
 
@@ -686,12 +720,12 @@ def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     spf = sieve_spf(max(x, 2), _BULK_BUDGET // _PHI_BYTES)
     ok = _squarefree_mask(x) if spec.squarefree else np.ones(x + 1, dtype=bool)
     ok[0] = False
-    members = enumerate_members(spec, x)
-    pos = [np.array(members)]  # k = 1
-    for n in members:
-        t, cap = theta_floor(spec, n), x // n
-        if t >= cap:  # theta is nondecreasing, so no later member has a k > 1
-            break
+    members = _iter_tree(spec, x, collect=True)[1]
+    thetas = _theta(spec, members)
+    pos = [members]  # k = 1
+    live = thetas < x // members  # a k > 1 has k > theta(n) and k <= x / n
+    for n, t in zip(members[live].tolist(), thetas[live].tolist()):
+        cap = x // n
         k = np.arange(t + 1, cap + 1)  # P^-(k) > t forces k > t
         pos.append(n * k[(spf[t + 1 : cap + 1] > t) & ok[t + 1 : cap + 1]])
     return np.bincount(np.concatenate(pos), minlength=x + 1), ok
@@ -718,13 +752,12 @@ def check_partial_density_sum(spec: FamilySpec, N: int) -> float:
         raise DomainError("N must be >= 1")
     if spec.kind not in _B_KINDS:
         raise DomainError("density sum applies to chain families")
-    members = enumerate_members(spec, N)
-    ts = [theta_floor(spec, n) for n in members]
-    ps = primes_upto(max(ts))
-    parr = np.array(ps, dtype=float)
+    members = np.sort(_iter_tree(spec, N, collect=True)[1])
+    ts = _theta(spec, members)
+    parr = np.array(primes_upto(int(ts.max())), dtype=float)
     factors = 1.0 / (1.0 + 1.0 / parr) if spec.squarefree else 1.0 - 1.0 / parr
     prefix = np.concatenate(([1.0], np.cumprod(factors)))
-    return sum(prefix[bisect_right(ps, t)] / n for n, t in zip(members, ts))
+    return sum((prefix[np.searchsorted(parr, ts, "right")] / members).tolist())
 
 
 def _ssf_identity(x: int, y: Fraction | int, beta: Fraction | int):

@@ -150,31 +150,34 @@ def _mp_gammalow_down(s, z, K: int, tol) -> list:
 
 
 @lru_cache(maxsize=8)
-def _gl24(prec: int) -> tuple:
-    """The 24-point Gauss-Legendre (node, weight) pairs on [-1, 1]."""
-    return tuple(GaussLegendre(mp.mp).calc_nodes(4, prec))
+def _gl24_halves(prec: int) -> tuple[tuple, tuple]:
+    """The 24-point Gauss-Legendre nodes x and weights w on [-1, 1], halved:
+    a unit panel [m, m+1] has nodes m + 1/2 + x/2 and weights w/2, so every
+    panel at one precision shares the weights."""
+    pairs = GaussLegendre(mp.mp).calc_nodes(4, prec)
+    return tuple(x / 2 for x, _ in pairs), tuple(w / 2 for _, w in pairs)
 
 
 @lru_cache(maxsize=1024)
-def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple, tuple]:
-    """The Gauss-Legendre (u, half-width * weight) pairs of the unit panel
-    [m, m+1], with log u and E1(u) there, at dps + 8 digits.  They do not
-    depend on a, so every a shares one evaluation."""
+def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The Gauss-Legendre nodes u and weights of the unit panel [m, m+1], with
+    log u and E1(u) there, at dps + 8 digits.  They do not depend on a, so
+    every a shares one evaluation."""
     with mp.workdps(dps + 8):
-        lo, hi = mp.mpf(m), mp.mpf(m + 1)
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        nodes = tuple((mid + half * x, half * w) for x, w in _gl24(mp.mp.prec))
-        return nodes, tuple(mp.log(u) for u, _ in nodes), tuple(mp.e1(u) for u, _ in nodes)
+        halves, weights = _gl24_halves(mp.mp.prec)
+        mid = mp.mpf(2 * m + 1) / 2
+        us = tuple(mid + h for h in halves)
+        return us, weights, tuple(mp.log(u) for u in us), tuple(mp.e1(u) for u in us)
 
 
 @lru_cache(maxsize=4096)
 def _h2_panel(a: Fraction, dps: int, m: int) -> tuple[tuple, tuple]:
     """log u and the weighted W(u) = exp(-u/a + E1(u)) at the nodes of the
     unit panel [m, m+1], at dps + 8 digits; only exp(-u/a) is computed per a."""
-    nodes, lnxs, e1s = _e1_unit_panel(dps, m)
+    us, weights, lnxs, e1s = _e1_unit_panel(dps, m)
     with mp.workdps(dps + 8):
         z = mp.mpf(a.denominator) / mp.mpf(a.numerator)
-        return lnxs, tuple(hw * mp.exp(-u * z + e1) for (u, hw), e1 in zip(nodes, e1s))
+        return lnxs, tuple(w * mp.exp(-u * z + e1) for u, w, e1 in zip(us, weights, e1s))
 
 
 def _h2_eval(a: Fraction, s, dps: int):

@@ -591,16 +591,26 @@ class TestEnumerationConsistency:
 
     def test_node_budget(self, monkeypatch):
         spec = FamilySpec("bpower", Fraction(5, 2), a=Fraction(1, 2))
-        count, _ = _iter_tree(spec, 10_000, collect=False)
-        # the budget bounds the members above 1
+        x = 10_000
+        count, members = _iter_tree(spec, x, collect=True)
+        # the budget bounds the pushed nodes: the members n > 1 with a child,
+        # n P^+(n) <= x (factorize is trial division, no code of the walk)
+        pushed = sum(1 for n in members.tolist() if n > 1 and n * factorize(n).p_plus <= x)
+        assert 0 < pushed < count - 1
+        monkeypatch.setattr(families, "_NODE_BUDGET", pushed)
+        assert _iter_tree(spec, x, collect=False)[0] == count
+        monkeypatch.setattr(families, "_NODE_BUDGET", pushed - 1)
+        with pytest.raises(ResourceLimitError):
+            _iter_tree(spec, x, collect=False)
+        # collect still bounds the members above 1 it gathers
         monkeypatch.setattr(families, "_NODE_BUDGET", count - 1)
-        assert _iter_tree(spec, 10_000, collect=False)[0] == count
+        assert len(_iter_tree(spec, x, collect=True)[1]) == count
         monkeypatch.setattr(families, "_NODE_BUDGET", count - 2)
         with pytest.raises(ResourceLimitError):
-            _iter_tree(spec, 10_000, collect=False)
+            _iter_tree(spec, x, collect=True)
         monkeypatch.setattr(families, "_NODE_BUDGET", 5)
         with pytest.raises(ResourceLimitError):
-            _iter_tree(FamilySpec("dense", Y2, i=2), 10_000, collect=True)
+            _iter_tree(FamilySpec("dense", Y2, i=2), x, collect=True)
 
     def test_squarefree_is_filtered_plain(self):
         spec = FamilySpec("bpower", Fraction(3), a=Fraction(1, 2))
