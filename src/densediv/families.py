@@ -216,7 +216,10 @@ class FamilyOracle:
     i >= 2 lies within level i - 1 (_keep_pairs), so one read of n in level
     i - 1 puts n in levels j and k of every keep pair (j, k); every kept
     divisor d lies in level j >= 1, so the y-dense check of each pair scans
-    only the level-1 divisors of n.
+    only the level-1 divisors of n.  Level-1 reads come from that list itself:
+    d is in it, and n/d is in level 1 iff it is in it too.  A divisor read at
+    a level >= 2 gets its factorization from n's primes, so factorize runs
+    once per query and never on a divisor.
 
     Caches are value-keyed, so repeated divisor lookups across queries
     share work; safe to reuse across calls with the same y.  Each memo holds
@@ -240,25 +243,28 @@ class FamilyOracle:
         ok = memo.get(key)
         if ok is not None:
             return ok
+        f = f or factorize(n)
         divs = self._divs.get(n)
         if divs is None:
-            divs = _remember(self._divs, n, _level1_divisors(f or factorize(n), self.y))
+            divs = _remember(self._divs, n, _level1_divisors(f, self.y))
         py, qy, member, get = self.py, self.qy, self.member, memo.get
         # the kept divisors start at 1 (n in level k) and end at n (n in level j);
         # level i - 1 holds n in both, and level 1 holds n iff n ends divs
         ok = divs[-1] == n if i == 1 else member(kind, n, i - 1, f)
-        for j, k in _keep_pairs(kind, i) if ok and i >= 2 else ():
+        level1 = set(divs) if ok and i >= 2 else ()
+        for j, k in _keep_pairs(kind, i) if level1 else ():
             last = 1
             for d in divs:
-                # d is kept if d is in level j and n // d in level k; most
-                # answers are in the memo already: read it before calling
-                kept = get((j, d))
+                # d is kept if d is in level j and n // d in level k; level 1
+                # is read from divs, most other answers from the memo
+                kept = j == 1 or get((j, d))
                 if kept is None:
-                    kept = member(kind, d, j)
+                    kept = member(kind, d, j, _divisor_factors(f, d))
                 if kept and k:
-                    kept = get((k, n // d))
+                    e = n // d
+                    kept = e in level1 if k == 1 else get((k, e))
                     if kept is None:
-                        kept = member(kind, n // d, k)
+                        kept = member(kind, e, k, _divisor_factors(f, e))
                 if kept:
                     if d * qy > last * py:
                         ok = False
@@ -267,6 +273,19 @@ class FamilyOracle:
             if not ok:
                 break
         return _remember(memo, key, ok)
+
+
+def _divisor_factors(f: FactoredInteger, d: int) -> FactoredInteger:
+    """The factorization of a divisor d of f.n, by exact division by f's primes."""
+    factors, m = [], d
+    for p, _ in f.factors:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    return FactoredInteger(d, tuple(factors))
 
 
 # The oracles of the most recently used y values, least recent first.

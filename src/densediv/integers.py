@@ -19,8 +19,10 @@ from .errors import DomainError, ResourceLimitError
 # past the cap is refused before it is built.
 DEFAULT_SIEVE_BUDGET = 1 << 27
 DEFAULT_DIVISOR_CAP = 1 << 20
-# Trial division stops at this divisor: every n < 2**40 (~1.1e12) factors,
-# and so does any n whose second-largest prime factor is below it.
+# Trial division stops at this divisor, so what is left of n after its primes
+# below it must be 1 or below (2**20 + 1)**2 to be proven prime: every
+# n < 2**40 (~1.1e12) factors, and 3 * (2**40 - 87) does, but 3 * (2**61 - 1)
+# is refused though 2**61 - 1 is prime.
 TRIAL_DIVISION_LIMIT = 1 << 20
 
 

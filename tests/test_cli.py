@@ -342,6 +342,15 @@ class TestVerifyAndDeterminism:
         assert r.exit_code == 3
         assert time.monotonic() - t0 < 5.0
 
+    def test_prime_cofactor_past_trial_division_exit_code(self, runner):
+        # 2**61 - 1 is prime but above (2**20 + 1)**2, so it cannot be proven
+        # prime by trial division to 2**20; 2**40 - 87 can
+        args = ["member", "--family", "dense", "--i", "2", "--y", "2", "--n"]
+        r = runner.invoke(main, args + [str(3 * (2**61 - 1))])
+        assert r.exit_code == 3
+        assert r.stderr.startswith("resource limit: ")
+        assert runner.invoke(main, args + [str(3 * (2**40 - 87))]).exit_code == 0
+
     @pytest.mark.parametrize("args", [
         "member --family smooth --y 2 --n 0",
         "count --family smooth --y 2 --x 0",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -368,7 +369,8 @@ class TestOracleCache:
 
     def test_one_read_of_the_level_below(self):
         # level i lies within level i - 1, so one read of n there serves every
-        # keep pair: 573 calls, against 748 when each pair read levels j and k
+        # keep pair: 400 calls (573 when level-1 reads called member, 748 when
+        # each pair read levels j and k)
         orc = FamilyOracle(Y2)
         calls = []
         member = orc.member
@@ -382,8 +384,9 @@ class TestOracleCache:
         assert len(calls) <= 573 and len(orc._dense) == 262
 
     def test_is_member_factorizes_n_once(self, monkeypatch):
-        # is_member hands its factorization of n to the oracle: a cold oracle
-        # factorizes n once, and every divisor it reaches at most once
+        # is_member hands its factorization of n to the oracle, and the oracle
+        # factors every divisor it reaches from n's primes: a cold oracle
+        # factorizes n and nothing else
         from collections import OrderedDict
 
         calls = []
@@ -397,7 +400,7 @@ class TestOracleCache:
             monkeypatch.setattr(families, "_ORACLES", OrderedDict())
             calls.clear()
             assert is_member(n, FamilySpec(kind, Y2, i=i)) == (kind == "dense")
-            assert calls.count(n) == 1 and len(calls) == len(set(calls)) > 1
+            assert calls == [n]
 
     def test_divisor_cap_refuses_before_building(self, monkeypatch):
         # n with more than DEFAULT_DIVISOR_CAP divisors is refused at every
@@ -449,6 +452,48 @@ def test_oracle_matches_definition_on_many_divisors(exponents, y, kind, i):
             if n * p <= 10**7:
                 n *= p
     assert FamilyOracle(y).member(kind, n, i) == _REFERENCES[y].member(kind, n, i)
+
+
+def _is_prime(q):
+    return q > 1 and all(q % p for p in range(2, math.isqrt(q) + 1))
+
+
+def _query_shape(rng, y, i):
+    """n = m q <= 1e8: m a ThetaLower(i) chain p <= max(y, (y p_1...p_{j-1})^(1/i)),
+    so m is in StrongDense(i), and q a prime above it between (y m)^(1/i) / 2 and
+    2 y m^(1/i), around the levels' boundaries: the single queries' shape."""
+    while True:
+        m, prev, top = 1, 2, rng.randint(100, 100_000)
+        while m < top:
+            t = max(float(y), float(y * m) ** (1 / i))
+            prev = rng.choice([p for p in _PRIMES_TO_60 if prev <= p <= t] or [prev])
+            m *= prev
+        lo = max(prev, int(float(y * m) ** (1 / i) / 2))
+        hi = min(int(2 * float(y) * m ** (1 / i)) + 1, 10**8 // m)
+        if lo < hi:
+            q = rng.randint(lo, hi)
+            while q <= hi and not _is_prime(q):
+                q += 1
+            if q <= hi:
+                return m * q
+
+
+def test_oracle_matches_definition_on_single_query_shapes():
+    # the last prime is large, so most divisors of n are read at level 1 from
+    # n's own list, and the rest get factorizations taken from n's primes
+    rng = random.Random(24)
+    for y in (Y2, Fraction(5, 2), Fraction(10)):
+        ref, given_f, own_f = DefinitionReference(y), FamilyOracle(y), FamilyOracle(y)
+        for i in (1, 2, 3, 4):
+            for _ in range(3):
+                n = _query_shape(rng, y, i)
+                f = factorize(n)
+                for kind in ("dense", "strongdense"):
+                    expect = ref.member(kind, n, i)
+                    assert given_f.member(kind, n, i, f) == expect, (kind, n, i, y)
+                    assert own_f.member(kind, n, i) == expect, (kind, n, i, y)
+                for d in ref._divisors(n):
+                    assert families._divisor_factors(f, d) == factorize(d)
 
 
 _LEVEL1_REFERENCES = {y: _REFERENCES.get(y) or DefinitionReference(y)

@@ -92,6 +92,15 @@ class TestFactorize:
         with pytest.raises(ResourceLimitError):
             factorize(10**18 + 3)
 
+    def test_cofactor_past_the_square_of_the_limit_is_refused(self):
+        # what is left after the primes below 2**20 is proven prime only below
+        # (2**20 + 1)**2, whatever the primes below 2**20 are
+        q = 2**40 - 87
+        assert all(pow(b, q - 1, q) == 1 for b in (2, 3, 5, 7, 11, 13))
+        assert factorize(3 * q).factors == ((3, 1), (q, 1))
+        with pytest.raises(ResourceLimitError):
+            factorize(3 * (2**61 - 1))
+
     def test_invalid_tuple_rejected(self):
         with pytest.raises(DomainError):
             FactoredInteger(12, ((3, 1), (2, 2)))
