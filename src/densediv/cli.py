@@ -190,16 +190,20 @@ def question_scan(i_, y_, m_max, p_max):
     strongly densely divisible family: looks for m and primes p2 < p1 (both
     >= the largest prime of m) with m*p1 a member but m*p2 not."""
     from .families import FamilyOracle
-    from .integers import factorize, primes_upto
+    from .integers import FactoredInteger, factorize, primes_upto
 
     spec = _guard(FamilySpec, "strongdense", y_, i=i_)
     orc = FamilyOracle(spec.y)
     primes = primes_upto(p_max)
     findings = []
     for m in range(1, m_max + 1):
-        pp = factorize(m).p_plus
-        allowed = [p for p in primes if p >= pp]
-        in_flags = [(p, orc.member(spec.kind, m * p, spec.i)) for p in allowed]
+        fm = factorize(m)
+        fs, pp = fm.factors, fm.p_plus
+        in_flags = []
+        for p in (p for p in primes if p >= pp):
+            # m*p factored from m's primes: p is a prime at least m's largest
+            fmp = fs[:-1] + ((p, fs[-1][1] + 1),) if p == pp else fs + ((p, 1),)
+            in_flags.append((p, orc.member(spec.kind, m * p, spec.i, FactoredInteger(m * p, fmp))))
         seen_out = None
         for p, flag in in_flags:
             if not flag and seen_out is None:

@@ -218,8 +218,8 @@ class FamilyOracle:
     divisor d lies in level j >= 1, so the y-dense check of each pair scans
     only the level-1 divisors of n.  Level-1 reads come from that list itself:
     d is in it, and n/d is in level 1 iff it is in it too.  A divisor read at
-    a level >= 2 gets its factorization from n's primes, so factorize runs
-    once per query and never on a divisor.
+    a level >= 2 is handed n's factorization and takes its own from it only
+    to build its list, so factorize runs once per query, never on a divisor.
 
     Caches are value-keyed, so repeated divisor lookups across queries
     share work; safe to reuse across calls with the same y.  Each memo holds
@@ -235,7 +235,7 @@ class FamilyOracle:
 
     def member(self, kind: str, n: int, i: int, f: FactoredInteger | None = None) -> bool:
         """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of
-        level i; f, if given, is n's factorization, so n is not factorized again."""
+        level i; f, if given, factors n or a multiple of n, so n is not factorized."""
         if i <= 0 or n == 1:
             return True
         memo = self._dense if kind == "dense" else self._strong
@@ -246,6 +246,8 @@ class FamilyOracle:
         f = f or factorize(n)
         divs = self._divs.get(n)
         if divs is None:
+            if f.n != n:
+                f = _divisor_factors(f, n)
             divs = _remember(self._divs, n, _level1_divisors(f, self.y))
         py, qy, member, get = self.py, self.qy, self.member, memo.get
         # the kept divisors start at 1 (n in level k) and end at n (n in level j);
@@ -259,12 +261,12 @@ class FamilyOracle:
                 # is read from divs, most other answers from the memo
                 kept = j == 1 or get((j, d))
                 if kept is None:
-                    kept = member(kind, d, j, _divisor_factors(f, d))
+                    kept = member(kind, d, j, f)
                 if kept and k:
                     e = n // d
                     kept = e in level1 if k == 1 else get((k, e))
                     if kept is None:
-                        kept = member(kind, e, k, _divisor_factors(f, e))
+                        kept = member(kind, e, k, f)
                 if kept:
                     if d * qy > last * py:
                         ok = False

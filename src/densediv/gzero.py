@@ -7,7 +7,7 @@ Three independent evaluation routes:
   truncation bound 4 e^{-gamma} / (2^K a^{Re s} |Gamma(s)|).  Evaluated in
   adaptive-precision arithmetic because the sum cancels heavily near zeros;
   ``_g_series_float`` is its complex128 fast path.  Both take their lower
-  incomplete gammas from specfun's one routine (``_lower_gamma``).
+  incomplete gammas from specfun's power series (``_lower_series``).
 * ``g_eval_integral`` -- s + e^{-gamma}/(a (1+a)^s) + s * int_1^inf
   (omega(u) - e^{-gamma}) (1+a u)^{-s-1} du, in float arithmetic; the only
   route that stays well-scaled for large |Im s|.
@@ -37,7 +37,7 @@ from .errors import (
     NumericalConsistencyError,
     SearchFailureError,
 )
-from .specfun import _lower_gamma, _special, b_coefficients, buchstab_omega, buchstab_omega_prime
+from .specfun import _lower_gamma, _lower_series, _special, b_coefficients, buchstab_omega, buchstab_omega_prime
 
 _BMAX = 258  # b_k available up to this index; series cap K <= _BMAX
 
@@ -103,18 +103,18 @@ def _at_nonpositive_integer(s: complex) -> bool:
     return s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real)
 
 
-def _g_exact_or_series(a: Fraction, s: complex, dps: int = 40, margin: float | None = None) -> complex:
+def _g_exact_or_series(a: Fraction, s: complex, margin: float | None = None) -> complex:
     """g_a(s) from the exact rational value where s is a non-positive integer
     (a removable point of the series normalization); else from the float
     series route if a margin is given and its value is finite and at least
-    margin times its finite noise; else from the series route at dps digits."""
+    margin times its finite noise; else from the series route from _dps(a) digits."""
     if _at_nonpositive_integer(s):
         return complex(float(g_eval_neg_int(a, int(-s.real))) * EXP_NEG_GAMMA / float(a))
     if margin is not None:
         v, noise = _g_series_float(a, s)
         if math.isfinite(abs(v)) and math.isfinite(noise) and abs(v) >= margin * noise:
             return v
-    return g_eval_series(a, s, dps=dps)[0]
+    return g_eval_series(a, s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +132,11 @@ def _mp_gammalow_down(s, z, K: int, tol) -> list:
     Gamma(A), and for real A > 0 the ratio gamma(A, z)/Gamma(A) grows as A
     decreases, so the relative error shrinks (upward, it would be multiplied
     by A at each step).  With K >= 1 - Re s, which g_eval_series checks, the
-    top index has Re A >= 1 and takes the series of specfun's routine, in
-    mpmath arithmetic.
+    top index has Re A >= 1, where specfun's power series converges; it runs
+    in mpmath arithmetic.
     """
     A = s + K
-    tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
-    gl = _lower_gamma(A, z, tol, tol, mp.exp, mp.log, mp.gamma, tiny)
+    gl = _lower_series(A, z, tol, mp.exp, mp.log)
     out = [gl]
     zpow = mp.exp(A * mp.log(z) - z)  # z^A e^-z
     for k in range(K - 1, -1, -1):
@@ -218,15 +217,15 @@ def _default_K(a: Fraction, s: complex, target: float = 1e-12) -> int:
     return min(max(K, kmin), _BMAX)
 
 
-def g_eval_series(a: Fraction | int | float, s: complex | float, dps: int = 40) -> tuple[complex, float]:
+def g_eval_series(a: Fraction | int | float, s: complex | float) -> tuple[complex, float]:
     """g_a(s) by the h_1 series + h_2 integral route; returns (value, bound).
 
     The series holds K = _default_K(a, s) terms.  ``bound`` is the explicit
     truncation estimate; arithmetic error is kept below it by escalating the
-    working precision whenever the summation is observed to cancel.  s at a
-    non-positive integer is a removable point of the normalization: use
-    g_eval_neg_int there.  Past Re s = -257 the K <= _BMAX terms cannot meet
-    K >= 1 - Re s, and the route refuses.
+    working precision, from _dps(a) digits, whenever the summation is
+    observed to cancel.  s at a non-positive integer is a removable point of
+    the normalization: use g_eval_neg_int there.  Past Re s = -257 the
+    K <= _BMAX terms cannot meet K >= 1 - Re s, and the route refuses.
     """
     a = Fraction(a) if not isinstance(a, Fraction) else a
     if a <= 0:
@@ -240,6 +239,7 @@ def g_eval_series(a: Fraction | int | float, s: complex | float, dps: int = 40) 
     b = b_coefficients(_BMAX)
     bound = g_series_error_bound(a, sc, K)
 
+    dps = _dps(a)
     loss = 0.0
     for _ in range(8):
         with mp.workdps(dps):
@@ -455,7 +455,7 @@ _SCAN_MAX = math.floor(_BMAX - 1 - _CONTOUR_R)
 
 
 def _dps(a: Fraction) -> int:
-    """The working digits of find_lambda's and residue_C's high-precision samples."""
+    """The digits every high-precision sample of g_a at a starts at."""
     return max(40, int(20 + 1.4 / float(a)))
 
 
@@ -463,7 +463,6 @@ def _dps(a: Fraction) -> int:
 def _find_lambda(a: Fraction) -> ZeroCertificate:
     if a <= 0:
         raise DomainError("a must be > 0")
-    dps = _dps(a)
     n_cap = int(math.ceil((2.0 / float(a)) * (math.log(1.0 / float(a)) + 2.0))) + 10
     prev = g_eval_neg_int(a, 0)
     if prev <= 0:
@@ -493,7 +492,7 @@ def _find_lambda(a: Fraction) -> ZeroCertificate:
         flo = float(prev)
         for _ in range(34):
             mid = 0.5 * (lo + hi)
-            fm = _g_exact_or_series(a, complex(-mid, 0.0), dps, margin=50.0).real
+            fm = _g_exact_or_series(a, complex(-mid, 0.0), margin=50.0).real
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -507,7 +506,7 @@ def _find_lambda(a: Fraction) -> ZeroCertificate:
 
         def g_full(x: float) -> float:
             if x not in polished:
-                polished[x] = _g_exact_or_series(a, complex(-x, 0.0), dps).real
+                polished[x] = _g_exact_or_series(a, complex(-x, 0.0)).real
             return polished[x]
 
         x0, x1 = lo, hi
@@ -560,12 +559,11 @@ def residue_C(a: Fraction, lam: float) -> float:
     digits, as find_lambda's do.
     """
     a = Fraction(a)
-    dps = _dps(a)
     deriv, err = _complex_step_derivative(a, -lam)
     if not (math.isfinite(deriv) and err <= _RESIDUE_RTOL / 100 * abs(deriv)):
 
         def gr(x: float) -> float:
-            return _g_exact_or_series(a, complex(x, 0.0), dps).real
+            return _g_exact_or_series(a, complex(x, 0.0)).real
 
         h = 1e-5
         d1 = (gr(-lam + h) - gr(-lam - h)) / (2 * h)
@@ -579,7 +577,7 @@ def residue_C(a: Fraction, lam: float) -> float:
     for j in range(M):
         th = 2 * math.pi * j / M
         sj = complex(-lam + r * math.cos(th), r * math.sin(th))
-        gv = _g_exact_or_series(a, sj, dps, margin=1e4)
+        gv = _g_exact_or_series(a, sj, margin=1e4)
         tot += complex(r * math.cos(th), r * math.sin(th)) / gv
     c_cont = (tot / M).real
 

@@ -5,10 +5,10 @@ integral J, the exact rational coefficients b_k of exp(-I(-u)), gamma for
 complex arguments, the incomplete gammas, and the Airy-type oscillatory
 integral K(nu) with two independent evaluation paths.
 
-The incomplete gammas have one power series and one continued fraction,
-written once for any number type: upper_incomplete_gamma and the float
-series route of g_a run them on complex128, the adaptive-precision route on
-mpmath numbers.
+The incomplete gammas have one power series and one continued fraction.
+upper_incomplete_gamma and the float series route of g_a run both on
+complex128; the adaptive-precision route of g_a runs the power series alone
+on mpmath numbers, passing its tolerance, exp and log.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log):
     return exp(A * log(z) - z) * total
 
 
-def _upper_cf(A, z, tol=1e-16, exp=cmath.exp, log=math.log, tiny=1e-300):
-    # modified Lentz for Gamma(A,z) = z^A e^-z / (z+1-A - 1(1-A)/(z+3-A - ...))
+def _upper_cf(A, z):
+    # modified Lentz for Gamma(A,z) = z^A e^-z / (z+1-A - 1(1-A)/(z+3-A - ...)) in complex128
+    tiny = 1e-300
     b = z + 1 - A
     C = b if abs(b) >= tiny else tiny
     D = 0
@@ -296,23 +297,17 @@ def _upper_cf(A, z, tol=1e-16, exp=cmath.exp, log=math.log, tiny=1e-300):
         D = 1 / D
         delta = C * D
         f *= delta
-        if abs(delta - 1) < tol:
+        if abs(delta - 1) < 1e-16:
             break
-    return exp(A * log(z) - z) / f
+    return cmath.exp(A * math.log(z) - z) / f
 
 
-def _lower_gamma(
-    A, z, tol=1e-17, cf_tol=1e-16, exp=cmath.exp, log=math.log, gamma=gamma_complex, tiny=1e-300
-):
-    """Lower incomplete gamma(A, z), z > 0: the series for Re A > 0.5, else
-    Gamma(A) minus the continued fraction for the upper gamma.
-
-    The defaults are the complex128 route.  The adaptive-precision route
-    passes mpc/mpf numbers with mpmath's exp, log and gamma, one tolerance
-    for both branches and a Lentz floor ``tiny`` of 10^(-3 dps)."""
+def _lower_gamma(A, z):
+    """Lower incomplete gamma(A, z) in complex128, z > 0: the series for
+    Re A > 0.5, else Gamma(A) minus the continued fraction for the upper gamma."""
     if A.real > 0.5:
-        return _lower_series(A, z, tol, exp, log)
-    return gamma(A) - _upper_cf(A, z, cf_tol, exp, log, tiny)
+        return _lower_series(A, z)
+    return gamma_complex(A) - _upper_cf(A, z)
 
 
 def upper_incomplete_gamma(s: complex, z: float) -> complex:

@@ -453,6 +453,28 @@ class TestQuestionScan:
         doc = json.loads(r.output)
         assert doc["counterexamples"] == []
 
+    def test_each_query_brings_its_factorization(self, runner, monkeypatch):
+        # m*p is factored from m's primes and the prime p: factorize runs once
+        # per m, and the oracle never calls it
+        from densediv import families, integers
+
+        calls = []
+        orig = integers.factorize
+
+        def counting(n):
+            calls.append(n)
+            return orig(n)
+
+        def refuse(n):
+            raise AssertionError(f"the oracle factorized {n}")
+
+        monkeypatch.setattr(integers, "factorize", counting)
+        monkeypatch.setattr(families, "factorize", refuse)
+        r = runner.invoke(main, ["question-scan", "--i", "3", "--y", "2",
+                                 "--m-max", "200", "--p-max", "40"])
+        assert r.exit_code == 0, r.output
+        assert calls == list(range(1, 201))
+
 
 class TestStartup:
     # a fresh process imports scipy only for the commands that call it; this

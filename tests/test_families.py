@@ -402,6 +402,28 @@ class TestOracleCache:
             assert is_member(n, FamilySpec(kind, Y2, i=i)) == (kind == "dense")
             assert calls == [n]
 
+    def test_divisors_factored_only_to_build_their_lists(self, monkeypatch):
+        # a divisor read at a level >= 2 is handed n's factorization and takes
+        # its own from it only to build its level-1 list: on a cold oracle,
+        # once per list built below the query, and never on a memo read
+        calls = []
+        orig = families._divisor_factors
+
+        def counting(f, d):
+            calls.append(d)
+            return orig(f, d)
+
+        monkeypatch.setattr(families, "_divisor_factors", counting)
+        for kind, n, i in (("dense", 8424, 3), ("dense", 65520, 4), ("strongdense", 65520, 4)):
+            orc = FamilyOracle(Y2)
+            calls.clear()
+            assert orc.member(kind, n, i, factorize(n)) == (kind == "dense")
+            assert calls and sorted(calls) == sorted(set(orc._divs) - {n})
+            # a multiple's factorization answers as n's own, or none, does
+            f = factorize(n)
+            for d in sorted(orc._divs)[::7]:
+                assert FamilyOracle(Y2).member(kind, d, i, f) == FamilyOracle(Y2).member(kind, d, i)
+
     def test_divisor_cap_refuses_before_building(self, monkeypatch):
         # n with more than DEFAULT_DIVISOR_CAP divisors is refused at every
         # level i >= 1, as the full divisor list refused it

@@ -18,7 +18,7 @@ from densediv.errors import (
     NumericalConsistencyError,
     SearchFailureError,
 )
-from densediv import gzero, specfun
+from densediv import gzero
 from densediv.gzero import (
     count_zeros_rect,
     dgda_identity_check,
@@ -139,11 +139,9 @@ class TestSeriesRoute:
         assert abs(vs - vi) < 1e-6
 
 
-def _per_k_gammalow(s, z, k, tol):
-    # the direct evaluation of one term by the shared routine: series for
-    # Re A > 0.5, else Gamma(A) minus the continued fraction for the upper gamma
-    tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
-    return specfun._lower_gamma(s + k, z, tol, tol, mp.exp, mp.log, mp.gamma, tiny)
+def _per_k_gammalow(s, z, k):
+    # the direct evaluation of one term, by mpmath's own incomplete gamma
+    return mp.gammainc(s + k, 0, z)
 
 
 class TestDownwardRecurrence:
@@ -166,7 +164,7 @@ class TestDownwardRecurrence:
                     assert len(down) == K + 1
                     near_pole = max(0, math.ceil(-re))
                     for k in {0, near_pole, K // 2, K}:
-                        ref = _per_k_gammalow(ss, z, k, tol)
+                        ref = _per_k_gammalow(ss, z, k)
                         assert abs(down[k] - ref) <= 1e-32 * abs(ref), (a, sc, k)
 
     def test_series_matches_per_term_sum(self):
@@ -176,11 +174,10 @@ class TestDownwardRecurrence:
         b = gzero.b_coefficients(gzero._BMAX)
         with mp.workdps(40):
             ss, z = mp.mpc(sc), mp.mpf(3)
-            tol = mp.mpf(10) ** -38
             tot = mp.mpf(0)
             for k in range(K + 1):
                 bk = mp.mpf(b[k].numerator) / mp.mpf(b[k].denominator)
-                tot += bk / z**k * _per_k_gammalow(ss, z, k, tol)
+                tot += bk / z**k * _per_k_gammalow(ss, z, k)
             h2 = gzero._h2_eval(a, ss, 40)
             ref = complex((mp.exp(-mp.euler) * z * tot + h2 * mp.power(z, ss + 1)) / mp.gamma(ss))
         val, _ = g_eval_series(a, sc)
@@ -366,17 +363,17 @@ class TestFindLambda:
         orig_route, orig_mp = gzero._g_exact_or_series, gzero.g_eval_series
         margins, calls = [], []
 
-        def route(a_, s, dps=40, margin=None):
+        def route(a_, s, margin=None):
             margins.append(margin)
             try:
-                return orig_route(a_, s, dps, margin)
+                return orig_route(a_, s, margin)
             finally:
                 margins.pop()
 
-        def counting(a_, s, **kw):
+        def counting(a_, s):
             if 50.0 not in margins:
-                calls.append((s, kw["dps"]))
-            return orig_mp(a_, s, **kw)
+                calls.append(s)
+            return orig_mp(a_, s)
 
         monkeypatch.setattr(gzero, "_g_exact_or_series", route)
         monkeypatch.setattr(gzero, "g_eval_series", counting)
@@ -428,10 +425,10 @@ class TestResidue:
         assert again == pytest.approx(cert.C, rel=1e-9)
 
     @staticmethod
-    def _mp_derivative(a, lam, dps):
+    def _mp_derivative(a, lam):
         # Richardson central differences of the high-precision series route
         def gr(x):
-            return gzero._g_exact_or_series(a, complex(x, 0.0), dps).real
+            return gzero._g_exact_or_series(a, complex(x, 0.0)).real
 
         h = 1e-5
         d1 = (gr(-lam + h) - gr(-lam - h)) / (2 * h)
@@ -457,7 +454,7 @@ class TestResidue:
         lam = find_lambda(a).lam
         deriv, err = gzero._complex_step_derivative(a, -lam)
         assert err <= 1e-8 * abs(deriv)  # below the fallback margin
-        ref = self._mp_derivative(a, lam, gzero._dps(a))
+        ref = self._mp_derivative(a, lam)
         assert deriv == pytest.approx(ref, rel=1e-7)
 
     def test_fallback_past_the_noise_margin(self, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import densediv
 
-KNOB_BOUND = 30
+KNOB_BOUND = 18
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -197,10 +197,10 @@ class TestGamma:
 
 
 class TestIncompleteGammaRoutine:
-    """specfun's one series / continued-fraction routine on complex128 and on
-    mpmath numbers, against mp.gammainc.  Re A <= 0.5 takes Gamma(A) minus the
-    continued fraction, Re A > 0.5 the series.  Measured error: 4.4e-14
-    relative in floats, 1.3e-37 at dps 40."""
+    """specfun's series / continued-fraction routine on complex128, and its
+    power series on mpmath numbers, against mp.gammainc.  Re A <= 0.5 takes
+    Gamma(A) minus the continued fraction, Re A > 0.5 the series.  Measured
+    error: 4.4e-14 relative in floats, 1.3e-37 at dps 40."""
 
     def test_float_lower_gamma(self):
         # TestGamma's grid
@@ -215,15 +215,15 @@ class TestIncompleteGammaRoutine:
             assert abs(got - ref) <= 1e-12 * abs(ref), (sr, si, z)
 
     def test_mp_lower_gamma(self):
+        # the adaptive-precision route of g_a takes the series only at Re A >= 1
         for re, im, z in itertools.product(
-            (-54.7, -31.3, -9.8, -2.6, -0.5, 0.3, 0.5, 0.7, 2.0, 17.3, 41.1, 59.5),
+            (0.7, 2.0, 17.3, 41.1, 59.5),
             (0.0, 0.4, 3.0, 11.0),
             (1, 2, 10, 20),
         ):
             with mp.workdps(40):
                 A = mp.mpc(re, im) if im else mp.mpf(re)
-                tol, tiny = mp.mpf(10) ** -38, mp.mpf(10) ** -120
-                got = specfun._lower_gamma(A, mp.mpf(z), tol, tol, mp.exp, mp.log, mp.gamma, tiny)
+                got = specfun._lower_series(A, mp.mpf(z), mp.mpf(10) ** -38, mp.exp, mp.log)
             with mp.workdps(80):
                 ref = mp.gammainc(A, 0, z)
                 assert abs(got - ref) <= mp.mpf(10) ** -35 * abs(ref), (re, im, z)
