@@ -146,6 +146,21 @@ def _theta(spec: FamilySpec, m: np.ndarray) -> np.ndarray:
     return t if upper else np.maximum(t, py // qy)
 
 
+def _theta_upto(spec: FamilySpec, m: np.ndarray, lim: np.ndarray) -> np.ndarray:
+    """min(floor(theta(m)), lim) in int64 at the nodes m of a chain-tree walk, all
+    of them members.  A Dense(2) member m has theta_2(m) >= max(y, sqrt(y m))
+    (README), so floor(theta_2(m)) >= max(floor(y), isqrt(floor(y m))), and
+    theta_2 is computed only at the nodes where that bound is below lim."""
+    if spec.kind != "dense":
+        return np.minimum(_theta(spec, m), lim).astype(np.int64, copy=False)
+    py, qy = spec.y.numerator, spec.y.denominator
+    low = np.maximum(_kth_root(_exact(m, py * int(m.max())) * py // qy, 2), py // qy)
+    t, open_ = lim.copy(), low < lim
+    if open_.any():
+        t[open_] = np.minimum(_theta(spec, m[open_]), lim[open_])
+    return t
+
+
 def _chain_member(spec: FamilySpec, f: FactoredInteger) -> bool:
     """Membership in a chain family from the sorted primes, each against the
     theta of the product before it; squarefree is the caller's check."""
@@ -321,8 +336,19 @@ def is_member(n: int | FactoredInteger, spec: FamilySpec) -> bool:
 
 
 def _is_chain(spec: FamilySpec) -> bool:
-    """Chain kinds, and Dense(2) through theta_2."""
-    return spec.kind in _B_KINDS or (spec.kind == "dense" and spec.i == 2)
+    """The families the chain tree walks: the chain kinds, and levels 1 and 2 of
+    Dense and StrongDense (_tree_spec)."""
+    return spec.kind in _B_KINDS or spec.i <= 2
+
+
+def _tree_spec(spec: FamilySpec) -> FamilySpec:
+    """The chain family the tree walks for spec.  Level 1 of Dense and StrongDense
+    is the chain family theta(m) = y m (Tenenbaum), ThetaUpper(1); level 2 is
+    Dense(2), the chain family of theta_2, and StrongDense(2) keeps Dense(2)'s one
+    pair (1, 0)."""
+    if spec.kind in _B_KINDS:
+        return spec
+    return FamilySpec("thetaupper" if spec.i == 1 else "dense", spec.y, i=spec.i, squarefree=spec.squarefree)
 
 
 def _prime_ceiling(spec: FamilySpec, x: int) -> int:
@@ -343,17 +369,19 @@ _NODE_BUDGET = 200_000_000
 _BATCH = 1 << 12
 
 
-def _iter_tree(spec: FamilySpec, x: int, collect: bool):
+def _iter_tree(spec: FamilySpec, x: int, collect: bool | np.ndarray):
     """DFS over nondecreasing prime chains p <= theta(m), a batch of nodes at a
-    time; every node is a member.  Returns the count and, if collect, the
-    members as an array, unsorted.
+    time; every node is a member.  Returns the count and, if collect is True,
+    the members as an array, unsorted; collect may instead be a bool array over
+    0..x, where the walk marks the members batch by batch, and which it returns.
 
     The children of node m are the primes from P^+(m) (strictly above it when
-    squarefree) up to min(theta(m), x // m); one searchsorted per batch counts
-    them all.  Only children with p^2 <= x // m are pushed: a larger p has
-    m p^2 > x, so m p has no child.  A stack entry holds the nodes of one
-    batch that have children to push, with the range of prime indices left to
-    each.  A step takes _BATCH children from the top entry (a lone node with
+    squarefree) up to min(theta(m), x // m), from _theta_upto, which computes
+    Dense(2)'s theta_2 only where a lower bound leaves the node open; one
+    searchsorted per batch counts them all.  Only children with p^2 <= x // m
+    are pushed: a larger p has m p^2 > x, so m p has no child.  A stack entry
+    holds the nodes of one batch that have children to push, with the range of
+    prime indices left to each.  A step takes _BATCH children from the top entry (a lone node with
     more gives its first _BATCH) and leaves the rest there, so the stack holds
     at most one entry per depth.  Nodes are int64 below 2**63 and Python ints
     past it.  _NODE_BUDGET bounds the nodes pushed, and the members collected.
@@ -368,22 +396,29 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool):
     m = np.ones(1, dtype=dtype)
     i0 = np.zeros(1, dtype=np.int64)
     count, pushed, stack = 1, 0, []
-    members = [m] if collect else None
+    members = [m] if collect is True else None
+    mask = collect if isinstance(collect, np.ndarray) else None
+    if mask is not None:
+        mask[1] = True
     while True:
         lim = np.minimum(x // m, cap).astype(np.int64, copy=False)
-        hi = np.searchsorted(primes, np.minimum(_theta(spec, m), lim).astype(np.int64, copy=False), "right")
+        hi = np.searchsorted(primes, _theta_upto(spec, m, lim), "right")
         c = np.maximum(hi - i0, 0)
         count += int(c.sum())
-        if collect:
-            if count - 1 > _NODE_BUDGET:
+        if collect is not False:
+            if count - 1 > _NODE_BUDGET and mask is None:
                 raise ResourceLimitError("enumeration member budget exceeded")
-            members.append(np.repeat(m, c) * primes[_ranges(i0, c)])
+            batch = np.repeat(m, c) * primes[_ranges(i0, c)]
+            if mask is None:
+                members.append(batch)
+            else:
+                mask[batch] = True
         inner = np.minimum(hi, np.searchsorted(squares, lim, "right"))
         keep = inner > i0
         if keep.any():
             stack.append((m[keep], i0[keep], inner[keep]))
         if not stack:
-            return count, np.concatenate(members) if collect else None
+            return count, np.concatenate(members) if collect is True else mask
         m, lo, hi = stack.pop()
         c = hi - lo
         take = int(np.searchsorted(np.cumsum(c), _BATCH, "right"))
@@ -403,16 +438,16 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool):
 def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
     """All members of the family up to x, sorted increasing."""
     if _is_chain(spec):
-        return np.sort(_iter_tree(spec, x, collect=True)[1]).tolist()
-    return np.flatnonzero(_bulk_level(spec, x)).tolist()
+        return np.sort(_iter_tree(_tree_spec(spec), x, collect=True)[1]).tolist()
+    return np.flatnonzero(_tree_level(spec, x)).tolist()
 
 
 def count_members(spec: FamilySpec, x: int) -> int:
     """The counting function of the family at x (exact)."""
     if _is_chain(spec):
-        count, _ = _iter_tree(spec, x, collect=False)
+        count, _ = _iter_tree(_tree_spec(spec), x, collect=False)
         return count
-    return int(np.count_nonzero(_bulk_level(spec, x)))
+    return int(np.count_nonzero(_tree_level(spec, x)))
 
 
 def count_family(spec: FamilySpec, x: int) -> CountReport:
@@ -443,9 +478,30 @@ def count_family(spec: FamilySpec, x: int) -> CountReport:
 # ---------------------------------------------------------------------------
 
 
-# The arrays over every n <= N that a bulk entry point builds may hold this
-# many bytes in all; the sieve refuses before any of them is built.
+# The arrays a bulk entry point builds may hold this many bytes in all; each
+# refuses, by _charge, before it builds what the charge covers.
 _BULK_BUDGET = 1 << 30
+# Bytes each bulk route charges: per n <= N, per member of the level it lists
+# as int32 (_level1_pairs' divisors), and per divisor pair or prime step of one
+# owner window, charged as _window_width(N) (ln(N + 1) + 2) of them, above the
+# mean ln N + 0.15 divisors of an n <= N.  The callers add 1 byte per level
+# (tree) or 2 per level and kind (tables).  ssf, phi and tree cover their peak
+# at N = 2e5 and their worst y or beta (tracemalloc, in tests/test_families.py):
+# 26.3, 38.1 and 88.6 bytes per n against 30.4, 40 and 102.9.  The tables'
+# charge covers only their arrays over every n, not their window or their
+# Python-int products.
+_BYTES = {"tables": (24, 0, 0), "ssf": (5, 0, 16), "phi": (40, 0, 0), "tree": (0, 12, 56)}
+
+
+def _charge(route: str, N: int, levels: int, held: int) -> float:
+    """The bytes route charges (_BYTES) with levels more bytes per n and held
+    members listed; refuses N where they pass _BULK_BUDGET."""
+    per_n, per_held, per_pair = _BYTES[route]
+    need = (N + 1) * (per_n + levels) + held * per_held
+    need += per_pair * _window_width(N) * (math.log(N + 1) + 2)
+    if need > _BULK_BUDGET:
+        raise ResourceLimitError(f"N = {N} needs {need:.4g} bytes, past the budget of {_BULK_BUDGET}")
+    return need
 
 
 def _exact(a: np.ndarray, bound: int) -> np.ndarray:
@@ -474,9 +530,9 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(len(offsets), dtype=np.int32) + offsets
 
 
-def _owner_keys(n: np.ndarray, d: np.ndarray, first: np.ndarray, lo: int, b: int) -> np.ndarray:
-    """(n - lo) << b | d in int64, for the pairs (n, d) with n in level 1."""
-    keep = first[n]
+def _owner_keys(n: np.ndarray, d: np.ndarray, owners: np.ndarray, lo: int, b: int) -> np.ndarray:
+    """(n - lo) << b | d in int64, for the pairs (n, d) with n an owner."""
+    keep = owners[n]
     key = n[keep].astype(np.int64)
     key -= lo
     key <<= b
@@ -484,14 +540,14 @@ def _owner_keys(n: np.ndarray, d: np.ndarray, first: np.ndarray, lo: int, b: int
     return key
 
 
-def _level1_pairs(first: np.ndarray, N: int):
+def _level1_pairs(owners: np.ndarray, divisors: np.ndarray, N: int):
     """Owners 1..N a window at a time: their slice, and the int32 pairs (n, d),
-    d | n, with n in the window and both n and d in level 1 (the mask first),
-    sorted by n, then d.  With r = isqrt(hi - 1), a d <= r lists its multiples
-    in the window, and a d > r is n/m for a cofactor m <= r, found as a run of
-    level 1 between lo/m and (hi - 1)/m.  Every divisor of an owner lies in
-    its window or an earlier one."""
-    F = np.flatnonzero(first).astype(np.int32)  # level 1, increasing
+    d | n, with n in the window and in the mask owners, and d in the mask
+    divisors, sorted by n, then d.  With r = isqrt(hi - 1), a d <= r lists its
+    multiples in the window, and a d > r is n/m for a cofactor m <= r, found as
+    a run of the divisor mask between lo/m and (hi - 1)/m.  Every divisor of an
+    owner lies in its window or an earlier one."""
+    F = np.flatnonzero(divisors).astype(np.int32)  # increasing
     w = _window_width(N)
     for lo in range(1, N + 1, w):
         hi = min(lo + w, N + 1)
@@ -500,12 +556,12 @@ def _level1_pairs(first: np.ndarray, N: int):
         k0 = (lo - 1) // small + 1  # the least multiplier putting d k in the window
         c = (hi - 1) // small - k0 + 1
         d = np.repeat(small, c)
-        key = _owner_keys(d * _ranges(k0, c), d, first, lo, b)
+        key = _owner_keys(d * _ranges(k0, c), d, owners, lo, b)
         m = np.arange(1, (hi - 1) // (r + 1) + 1, dtype=np.int32)
         a = np.searchsorted(F, np.maximum(r + 1, -(-lo // m)))
         c = np.maximum(np.searchsorted(F, (hi - 1) // m, "right") - a, 0)
         d = F[_ranges(a, c)]
-        key = np.concatenate((key, _owner_keys(d * np.repeat(m, c), d, first, lo, b)))
+        key = np.concatenate((key, _owner_keys(d * np.repeat(m, c), d, owners, lo, b)))
         key.sort()  # owner-major, then divisor
         n, d = np.empty_like(key, np.int32), np.empty_like(key, np.int32)
         np.right_shift(key, b, out=n, casting="unsafe")
@@ -521,9 +577,25 @@ def _not_y_dense(own, d, kept, py: int, qy: int, bound: int) -> np.ndarray:
     return own[1:][(own[1:] == own[:-1]) & (d[1:] * qy > d[:-1] * py)]
 
 
-def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dict]:
-    """The smooth table, and levels 0..imax over n <= N of each kind asked for
-    among thetalower, thetaupper, dense and strongdense (level 0 holds every n).
+def _pair_levels(kind: str, L: list, start: int, w: slice, n, d, py: int, qy: int, bound: int) -> None:
+    """Levels start..len(L) - 1 of kind over the owners of window w, in place, from
+    the window's pairs (n, d) whose owner is in level start - 1 and whose divisor
+    covers every kept d.  n is in level i when it is in level i - 1 and, for each
+    keep pair (j, k) of level i, the d in level j with n/d in level k are y-dense;
+    level i reads the pairs of the owners in level i - 1.  The levels an owner
+    reads, at its divisors and cofactors, lie in its window or an earlier one."""
+    for i in range(start, len(L)):
+        alive = L[i - 1][n]  # the pairs of the owners n in level i - 1
+        n, d = n[alive], d[alive]
+        L[i][w] &= L[i - 1][w]
+        for j, k in _keep_pairs(kind, i):
+            kept = L[j][d] if k == 0 else L[j][d] & L[k][n // d]
+            L[i][_not_y_dense(n, d, kept, py, qy, bound)] = False
+
+
+def _bulk_levels(N: int, y: Fraction, imax: int) -> tuple[np.ndarray, dict]:
+    """The smooth table, and levels 0..imax over n <= N of thetalower, thetaupper,
+    dense and strongdense (level 0 holds every n).
 
     Array recurrences over every n <= N, compared exactly in int32, int64 or
     Python ints.  A chain family holds n when P^+(n) passes against the
@@ -534,14 +606,14 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
     are y-dense.  Level i lies within level i - 1, so within levels j and k,
     and every kept d lies in level 1 (_keep_pairs), so the check reads only
     the divisor pairs with owner and divisor in level 1.  Each window's pairs
-    are built once and serve every kind, levels 2..imax in order, each level
-    the pairs of the owners in the level below.
+    are built once and serve both kinds, levels 2..imax in order (_pair_levels).
     """
     if N < 1 or imax < 0:
         raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
     # 24 bytes per n in int32 lpf, parent, n, a temporary and masks, 2 per level and
     # kind; lpf is a writable copy of the int32 sieve, which is freed at once
-    lpf = sieve_spf(max(N, 2), _BULK_BUDGET // (24 + 2 * len(kinds) * imax))[: N + 1].copy()
+    _charge("tables", N, 2 * 4 * imax, 0)
+    lpf = sieve_spf(max(N, 2))[: N + 1].copy()
     y = Fraction(y)
     py, qy = y.numerator, y.denominator
     n = np.arange(N + 1, dtype=np.int32)
@@ -563,31 +635,45 @@ def _bulk_levels(N: int, y: Fraction, imax: int, kinds) -> tuple[np.ndarray, dic
 
     steps = {"thetalower": lambda p, m, i: (p * qy <= py) | (p**i * qy <= py * m),
              "thetaupper": lambda p, m, i: (p * qy) ** i <= py**i * m}
-    levels = {kind: [ones] + [chain(steps[kind], i) for i in range(1, imax + 1)]
-              for kind in kinds if kind not in _D_KINDS}
+    levels = {kind: [ones] + [chain(step, i) for i in range(1, imax + 1)] for kind, step in steps.items()}
     first = chain(steps["thetaupper"], 1) & (n > 0)
     del n, lpf, parent  # the window loop reads, of the arrays over every n, only the levels
     dense = {kind: [ones, first, *(first.copy() for _ in range(2, imax + 1))][: imax + 1]
-             for kind in kinds if kind in _D_KINDS}
+             for kind in ("dense", "strongdense")}
     bound = N * max(py, qy)
-    for w, n, d in _level1_pairs(first, N) if imax > 1 else ():
+    for w, n, d in _level1_pairs(first, first, N) if imax > 1 else ():
         for kind, L in dense.items():
-            o, dl = n, d
-            for i in range(2, imax + 1):
-                alive = L[i - 1][o]  # the pairs of the owners o in level i - 1
-                o, dl = o[alive], dl[alive]
-                L[i][w] &= L[i - 1][w]
-                for j, k in _keep_pairs(kind, i):
-                    kept = L[j][dl] if k == 0 else L[j][dl] & L[k][o // dl]
-                    L[i][_not_y_dense(o, dl, kept, py, qy, bound)] = False
+            _pair_levels(kind, L, 2, w, n, d, py, qy, bound)
     return smooth, levels | dense
 
 
-def _bulk_level(spec: FamilySpec, x: int) -> np.ndarray:
-    """Dense(i) or StrongDense(i) over n <= x from _bulk_levels, masked to the
-    squarefree n for a squarefree spec."""
-    level = _bulk_levels(x, spec.y, spec.i, (spec.kind,))[1][spec.kind][spec.i]
-    return level & _squarefree_mask(x) if spec.squarefree else level
+def _tree_level(spec: FamilySpec, x: int) -> np.ndarray:
+    """Dense(i) or StrongDense(i), i >= 3, over n <= x, masked to the squarefree n
+    for a squarefree spec: levels 1 and 2 from the chain tree (_tree_spec), then
+    the level loop of the bulk tables over the divisor pairs whose owner is in
+    level 2, since level i lies within it.  Dense(i) keeps the pair (i - 1, 0),
+    so its kept divisors lie in level 2 too; StrongDense's (1, 1) at i = 3 needs
+    the divisors in level 1.  No sieve and no array over every n but the levels."""
+    strong = spec.kind == "strongdense"
+    # the masks of levels 2..i, of level 1 for StrongDense and of the squarefree n
+    levels = spec.i - 1 + strong + spec.squarefree
+    _charge("tree", x, levels, 0)
+    py, qy = spec.y.numerator, spec.y.denominator
+
+    def walked(i):
+        return _iter_tree(_tree_spec(FamilySpec(spec.kind, spec.y, i=i)), x, np.zeros(x + 1, dtype=bool))
+
+    held, L2 = walked(2)
+    held, L1 = walked(1) if strong else (held, L2)
+    _charge("tree", x, levels, held)
+    L = [None, L1, L2] + [L2.copy() for _ in range(3, spec.i + 1)]
+    bound = x * max(py, qy)
+    for w, n, d in _level1_pairs(L2, L1, x):
+        _pair_levels(spec.kind, L, 3, w, n, d, py, qy, bound)
+    level = L[spec.i]
+    if spec.squarefree:
+        level &= _squarefree_mask(x)
+    return level
 
 
 def membership_tables(N: int, y: Fraction, imax: int) -> dict:
@@ -599,7 +685,7 @@ def membership_tables(N: int, y: Fraction, imax: int) -> dict:
     Index 0 is False in smooth and in dense/strongdense for i >= 1, and True
     elsewhere.
     """
-    smooth, levels = _bulk_levels(N, y, imax, ("thetalower", "thetaupper", "dense", "strongdense"))
+    smooth, levels = _bulk_levels(N, y, imax)
     for t in (smooth, *(t for ts in levels.values() for t in ts)):
         t.setflags(write=False)
     return {"smooth": smooth} | levels
@@ -660,8 +746,9 @@ def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.
         raise DomainError("x must be >= 1")
     beta = _beta(beta)
     pb, qb = beta.numerator, beta.denominator
-    # the int32 sieve and the mask hold 5 bytes per n, within the 9 the budget allows
-    spf = sieve_spf(max(N, 2), _BULK_BUDGET // 9)
+    # the int32 sieve and the mask hold 5 bytes per n, a window's steps the rest
+    _charge("ssf", N, 0, 0)
+    spf = sieve_spf(max(N, 2))
     bound = max(N ** (qb + pb) * den, num * N**e)
     ok = np.zeros(N + 1, dtype=bool)
     width = _window_width(N)
@@ -721,11 +808,6 @@ def phi_count(x: float, y: float | Fraction, squarefree: bool = False) -> int:
     return 1 + int(np.count_nonzero(keep))
 
 
-# Peak bytes per n of _phi_pairs (tracemalloc, x = 1e4 to 4e6): 70 when every n <= x
-# is a member (y >= x), 36 of them the member list; 30 to 37 for verify's families.
-_PHI_BYTES = 70
-
-
 def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     """(c, ok) over m = 0..x: c[m] counts the pairs n k = m with n a member and
     k = 1 or P^-(k) > theta(n) (k squarefree too in the squarefree variant);
@@ -738,7 +820,8 @@ def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("identity applies to chain families")
     if Fraction(spec.y) < 2:
         raise DomainError("theta(n) >= 2 requires y >= 2")
-    spf = sieve_spf(max(x, 2), _BULK_BUDGET // _PHI_BYTES)
+    _charge("phi", x, 0, 0)
+    spf = sieve_spf(max(x, 2))
     ok = _squarefree_mask(x) if spec.squarefree else np.ones(x + 1, dtype=bool)
     ok[0] = False
     members = _iter_tree(spec, x, collect=True)[1]

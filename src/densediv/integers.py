@@ -51,11 +51,6 @@ class FactoredInteger:
             raise DomainError(f"factorization of {self.n} does not reconstruct: {self.factors}")
 
     @property
-    def p_minus(self) -> float | int:
-        """Smallest prime factor; +inf for n = 1 by convention."""
-        return self.factors[0][0] if self.factors else math.inf
-
-    @property
     def p_plus(self) -> int:
         """Largest prime factor; 1 for n = 1 by convention."""
         return self.factors[-1][0] if self.factors else 1

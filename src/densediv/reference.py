@@ -58,9 +58,3 @@ def truncate_matches(value: float, printed: str) -> bool:
     import math
 
     return math.floor(value * scale) / scale == float(printed)
-
-
-def within_one_ulp(value: float, printed: str) -> bool:
-    """True iff |value - printed| is below one unit in the last printed place."""
-    digits = len(printed.split(".")[1]) if "." in printed else 0
-    return abs(value - float(printed)) < 10.0 ** (-digits)

@@ -10,6 +10,12 @@ from densediv.families import membership_tables
 from densediv.specfun import _OMEGA_UMAX, OMEGA_STEP, _hermite, _omega_23
 
 
+def within_one_ulp(value: float, printed: str) -> bool:
+    """True iff |value - printed| is below one unit in the last printed place."""
+    digits = len(printed.split(".")[1]) if "." in printed else 0
+    return abs(value - float(printed)) < 10.0 ** (-digits)
+
+
 @lru_cache(maxsize=8)
 def tables_at(N: int, y: Fraction, imax: int = 4):
     return membership_tables(N, y, imax)

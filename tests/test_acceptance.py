@@ -29,11 +29,11 @@ from densediv.gzero import (
     g_eval_series,
     locate_zero_in_rect,
 )
-from densediv.reference import C_TABLE, LAMBDA_TABLE, truncate_matches, within_one_ulp
+from densediv.reference import C_TABLE, LAMBDA_TABLE, truncate_matches
 from densediv.rho import cached_rho_table, rho_closed_form_12
 from densediv.specfun import k_oscillatory, k_zeros
 
-from _shared import tables_at
+from _shared import tables_at, within_one_ulp
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -397,10 +397,10 @@ class TestVerifyAndDeterminism:
         assert time.monotonic() - t0 < 5.0
 
     def test_count_budget_exit_code(self, runner):
-        # the count route holds 30 bytes per n at i = 3, so x = 1e8 is past the 1 GiB budget
+        # the count route holds 2 bytes per n at i = 3, so x = 1e9 is past the 1 GiB budget
         t0 = time.monotonic()
         r = runner.invoke(main, ["count", "--family", "dense", "--i", "3", "--y", "2",
-                                 "--x", "100000000"])
+                                 "--x", "1000000000"])
         assert r.exit_code == 3
         assert r.stdout == ""
         assert len(r.stderr.splitlines()) == 1
@@ -408,7 +408,7 @@ class TestVerifyAndDeterminism:
         assert time.monotonic() - t0 < 5.0
 
     def test_identities_budget_exit_code(self, runner):
-        # the suite's first step, the phi pairs, holds up to 70 bytes per n, so
+        # the suite's first step, the phi pairs, holds up to 40 bytes per n, so
         # x = 26843545 is past the 1 GiB budget before any table is built
         t0 = time.monotonic()
         r = runner.invoke(main, ["verify", "--suite", "identities", "--xmax", "26843545"])

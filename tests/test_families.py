@@ -233,7 +233,7 @@ def _bulk_arrays(N):
         out += [t["smooth"].tobytes()] + [b.tobytes() for k in ("thetalower", "thetaupper",
                                                                "dense", "strongdense")
                                           for b in t[k]]
-        # the count route's level, read by the same window loop
+        # the count route's level, read by the same level loop
         out += [enumerate_members(FamilySpec("dense", y, i=3), N),
                 enumerate_members(FamilySpec("strongdense", y, i=4), N)]
     for beta, num, den, e in ((1, 2, 1, 1), (Fraction(7, 3), 3**7, 2**7, 3)):
@@ -251,8 +251,8 @@ def test_window_width_leaves_bulk_arrays_unchanged(monkeypatch, width):
     monkeypatch.setattr(families, "_window_width", lambda N: width)
     pair_windows = []
 
-    def recording(first, N):
-        for w, n, d in level1_pairs(first, N):
+    def recording(owners, divisors, N):
+        for w, n, d in level1_pairs(owners, divisors, N):
             pair_windows.append((w.start, w.stop))
             assert np.all((n >= w.start) & (n < w.stop) & (n % d == 0))
             yield w, n, d
@@ -287,25 +287,53 @@ def test_ssf_within_memory_per_n():
     assert peak < 32 * N, peak / N
 
 
+_TREE_WORST = Fraction(10**7)  # every n <= 2e5 is in levels 1 and 2
+
+
+@pytest.mark.parametrize("route,run,levels,held", [
+    # beta = 3 against n^4 forms its window's keys in Python ints
+    ("ssf", lambda N: families._ssf_within(N, 3, 1, 1, 4), 0, 0),
+    # every n is a member, so every n <= N has its pairs n k
+    ("phi", lambda N: families._phi_pairs(N, FamilySpec("bpower", Fraction(10**8), a=1)), 0, 0),
+    ("tree", lambda N: count_members(FamilySpec("dense", _TREE_WORST, i=3), N), 2, 1),
+    ("tree", lambda N: count_members(FamilySpec("strongdense", _TREE_WORST, i=5, squarefree=True), N), 6, 1),
+], ids=["ssf", "phi", "tree-dense3", "tree-strongdense5-squarefree"])
+def test_bulk_route_peak_within_its_charge(route, run, levels, held):
+    # tracemalloc sees numpy buffers; held is the share of n <= N the route lists
+    import tracemalloc
+
+    N = 2 * 10**5
+    tracemalloc.start()
+    try:
+        run(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= families._charge(route, N, levels, held * N), peak / N
+
+
 def test_bulk_budget(monkeypatch):
-    # membership_tables holds 24 + 8 imax bytes per n, _ssf_within 9, _phi_pairs 70
+    # membership_tables holds 24 + 8 imax bytes per n; the other routes charge
+    # what _charge says at N = 1000, and refuse N = 1001 under that budget
+    d3_need = families._charge("tree", 1000, 2, count_members(FamilySpec("dense", 2, i=2), 1000))
+    ssf_need = families._charge("ssf", 1000, 0, 0)
     for imax in (0, 2):
         monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * (24 + 8 * imax))
         assert len(families.membership_tables(1000, Y2, imax)["smooth"]) == 1001
         with pytest.raises(ResourceLimitError):
             families.membership_tables(1001, Y2, imax)
-    # the count route for Dense(i != 2) and StrongDense builds one kind: 24 + 2 i bytes per n
+    # the tree route for Dense(3): the masks of levels 2 and 3, and Dense(2) listed
     d3 = FamilySpec("dense", 2, i=3)
-    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * (24 + 2 * 3))
+    monkeypatch.setattr(families, "_BULK_BUDGET", d3_need)
     assert count_members(d3, 1000) > 1
     with pytest.raises(ResourceLimitError):
         count_members(d3, 1001)
-    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * 9)
+    monkeypatch.setattr(families, "_BULK_BUDGET", ssf_need)
     assert len(families._ssf_within(1000, 1, 2, 1, 1)) == 1001
     with pytest.raises(ResourceLimitError):
         families._ssf_within(1001, 1, 2, 1, 1)
     b2 = FamilySpec("bpower", Y2, a=1)
-    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * families._PHI_BYTES)
+    monkeypatch.setattr(families, "_BULK_BUDGET", 1001 * 40)
     assert families.check_phi_identity_range(1000, b2)
     with pytest.raises(ResourceLimitError):
         families.check_phi_identity_range(1001, b2)
@@ -324,12 +352,13 @@ def test_bulk_budget_refuses_before_allocating(monkeypatch):
 
     monkeypatch.setattr(families, "np", NoArrays())
     monkeypatch.setattr(integers, "np", NoArrays())
-    # the first N past 1 GiB at imax = 4 (56 bytes per n), at i = 3 (30), at
-    # 9 and at 70 bytes per n; all are inside the sieve's own budget
+    # the first N past 1 GiB at imax = 4 (56 bytes per n), at 5 and at 40
+    # bytes per n, all inside the sieve's own budget; Dense(3)'s tree route
+    # holds 2 bytes per n, and refuses before it walks the tree
     for call in (lambda: families.membership_tables((1 << 30) // 56, Y2, 4),
-                 lambda: count_members(FamilySpec("dense", 2, i=3), (1 << 30) // 30),
-                 lambda: families._ssf_within((1 << 30) // 9, 1, 2, 1, 1),
-                 lambda: families._phi_pairs((1 << 30) // 70, FamilySpec("bpower", Y2, a=1))):
+                 lambda: count_members(FamilySpec("dense", 2, i=3), (1 << 30) // 2),
+                 lambda: families._ssf_within((1 << 30) // 5, 1, 2, 1, 1),
+                 lambda: families._phi_pairs((1 << 30) // 40, FamilySpec("bpower", Y2, a=1))):
         with pytest.raises(ResourceLimitError):
             call()
     for call in (lambda: families.membership_tables(0, Y2, 4),
@@ -601,12 +630,11 @@ class TestEnumerationConsistency:
         t = families.membership_tables(5000, Fraction(5, 2), 4)
         assert t["dense"][4].sum() > 1 and t["strongdense"][4].sum() > 1
 
-    def test_bulk_route_calls_no_oracle_and_no_tree(self, monkeypatch):
+    def test_count_route_calls_no_oracle(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the count route reached the oracle or the chain tree")
+            raise AssertionError("the count route reached the oracle")
 
         monkeypatch.setattr(FamilyOracle, "member", refuse)
-        monkeypatch.setattr(families, "_iter_tree", refuse)
         for kind, i in (("dense", 1), ("dense", 3), ("strongdense", 2), ("strongdense", 4)):
             for squarefree in (False, True):
                 spec = FamilySpec(kind, Fraction(5, 2), i=i, squarefree=squarefree)
@@ -628,9 +656,9 @@ class TestEnumerationConsistency:
 
     @pytest.mark.parametrize("y", [Y2, Fraction(5, 2), Fraction(10)])
     def test_superset_filter_counts_match_tables(self, y):
-        # count_members and the bulk tables share the window kernel, so this
-        # checks the count route's level and squarefree mask against the tables;
-        # test_count_route_matches_superset_filter is the independent check
+        # independent routes to levels 1 and 2: count_members walks the chain
+        # tree, the tables run the sieve recurrences; both then run the one level
+        # loop, which test_count_route_matches_superset_filter checks against the oracle
         import numpy as np
 
         x = 100_000
@@ -645,6 +673,36 @@ class TestEnumerationConsistency:
                     expect = int(np.count_nonzero(level & sf if squarefree else level))
                     got = count_members(FamilySpec(kind, y, i=i, squarefree=squarefree), x)
                     assert got == expect, (kind, i, squarefree)
+
+    @pytest.mark.parametrize("y", [Y2, Fraction(5, 2), Fraction(10), Fraction(50)])
+    def test_tree_route_matches_tables(self, y):
+        # every level i <= 5 of both kinds, member by member, against the tables
+        x = 200_000
+        t = families.membership_tables(x, y, 5)
+        sf = families._squarefree_mask(x)
+        for kind in ("dense", "strongdense"):
+            for i in range(1, 6):
+                for squarefree in (False, True):
+                    got = np.zeros(x + 1, dtype=bool)
+                    got[enumerate_members(FamilySpec(kind, y, i=i, squarefree=squarefree), x)] = True
+                    want = t[kind][i] & sf if squarefree else t[kind][i]
+                    assert np.array_equal(got, want), (kind, i, squarefree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.fractions(min_value=1, max_value=60, max_denominator=6).filter(lambda y: y > 1),
+           k=st.integers(min_value=0, max_value=10**6))
+    def test_theta2_lower_bound_on_members(self, y, k):
+        # theta_2(m) >= max(y, sqrt(y m)) for every Dense(2) member m (README),
+        # the bound the tree walk trusts; exact, against theta2_of
+        members = enumerate_members(FamilySpec("dense", y, i=2), 20_000)
+        m = members[k % len(members)]
+        theta = families.theta2_of(m, y)
+        assert theta >= y and theta * theta >= y * m, (m, theta)
+
+    def test_theta2_lower_bound_fails_off_members(self):
+        # a prime m = 3 > y = 2 is not in Dense(2): theta_2(3) = 2 < sqrt(6)
+        assert not is_member(3, FamilySpec("dense", Y2, i=2))
+        assert families.theta2_of(3, Y2) ** 2 < Y2 * 3
 
     @given(
         st.fractions(min_value=1, max_value=20, max_denominator=12).filter(lambda y: y > 1),
@@ -866,6 +924,6 @@ class TestPhiCount:
             expect = 1 + sum(
                 1
                 for n in range(2, x + 1)
-                if factorize(n).p_minus > y
+                if factorize(n).factors[0][0] > y
             )
             assert phi_count(x, y) == expect

@@ -57,7 +57,6 @@ class TestFactorize:
         f = factorize(1)
         assert f.factors == ()
         assert f.p_plus == 1
-        assert f.p_minus == math.inf
 
     def test_8424(self):
         assert factorize(8424).factors == ((2, 3), (3, 4), (13, 1))
