@@ -26,6 +26,7 @@ from .families import (
     count_members,
     enumerate_members,
     is_member,
+    member_mask,
     membership_tables,
     phi_count,
     schinzel_szekeres,

@@ -18,6 +18,7 @@ from . import families, gzero, reference, rho
 from ._constants import EULER_GAMMA
 from .errors import DomainError, ResourceLimitError
 from .families import FamilySpec
+from .integers import primes_upto
 
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
@@ -188,29 +189,26 @@ def rho_table(a_, u_max, step, out):
 def question_scan(i_, y_, m_max, p_max):
     """Exploratory search for evidence against a chain description of the
     strongly densely divisible family: looks for m and primes p2 < p1 (both
-    >= the largest prime of m) with m*p1 a member but m*p2 not."""
-    from .families import FamilyOracle
-    from .integers import FactoredInteger, factorize, primes_upto
-
+    >= the largest prime of m) with m*p1 a member but m*p2 not.  Reads one
+    StrongDense(i) mask over n <= m_max*p_max, so exits 3 past its budget."""
     spec = _guard(FamilySpec, "strongdense", y_, i=i_)
-    orc = FamilyOracle(spec.y)
+    level = _guard(families.member_mask, spec, max(1, max(m_max, 0) * p_max))
     primes = primes_upto(p_max)
+    block = 1 << 16  # the m read at once, so the arrays beside the level stay small
     findings = []
-    for m in range(1, m_max + 1):
-        fm = factorize(m)
-        fs, pp = fm.factors, fm.p_plus
-        in_flags = []
-        for p in (p for p in primes if p >= pp):
-            # m*p factored from m's primes: p is a prime at least m's largest
-            fmp = fs[:-1] + ((p, fs[-1][1] + 1),) if p == pp else fs + ((p, 1),)
-            in_flags.append((p, orc.member(spec.kind, m * p, spec.i, FactoredInteger(m * p, fmp))))
-        seen_out = None
-        for p, flag in in_flags:
-            if not flag and seen_out is None:
-                seen_out = p
-            if flag and seen_out is not None:
-                findings.append({"m": m, "p_out": seen_out, "p_in": p})
-                break
+    for lo in range(1, m_max + 1, block):
+        m = np.arange(lo, min(lo + block, m_max + 1))
+        # m with its primes up to p divided out: 1 where p >= P^+(m)
+        rest, p_out, p_in = m.copy(), np.zeros_like(m), np.zeros_like(m)
+        for p in primes:  # each m: its first p out of the level, then the first p back in
+            while (hit := rest % p == 0).any():
+                rest[hit] //= p
+            live, flag = rest == 1, level[m * p]
+            p_in[live & flag & (p_out > 0) & (p_in == 0)] = p
+            p_out[live & ~flag & (p_out == 0)] = p
+        found = p_in > 0
+        findings += [{"m": a, "p_out": b, "p_in": c}
+                     for a, b, c in zip(m[found].tolist(), p_out[found].tolist(), p_in[found].tolist())]
     click.echo(json.dumps({"schema": 1, "i": i_, "y": str(y_), "m_max": m_max,
                            "p_max": p_max, "counterexamples": findings}))
 
@@ -285,10 +283,8 @@ def _suite_identities(xmax: int) -> list[dict]:
                             "detail": f"x={xmax}"})
     # Dense(2) by its definition (the bulk tables) against the theta_2 chain tree
     for y in (Fraction(2), Fraction(3)):
-        table = families.membership_tables(xmax, y, 2)["dense"][2]
-        tree = np.zeros_like(table)
-        tree[families.enumerate_members(FamilySpec("dense", y, i=2), xmax)] = True
-        bad = int(np.count_nonzero(table[1:] != tree[1:]))
+        table = families.membership_tables(xmax, y, 2)["dense"][2]  # n = 0 is out of both
+        bad = int(np.count_nonzero(table != families.member_mask(FamilySpec("dense", y, i=2), xmax)))
         results.append({"name": f"theta2 characterization y={y}", "passed": bad == 0,
                         "detail": f"violations={bad}"})
     return results

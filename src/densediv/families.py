@@ -439,15 +439,14 @@ def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
     """All members of the family up to x, sorted increasing."""
     if _is_chain(spec):
         return np.sort(_iter_tree(_tree_spec(spec), x, collect=True)[1]).tolist()
-    return np.flatnonzero(_tree_level(spec, x)).tolist()
+    return np.flatnonzero(member_mask(spec, x)).tolist()
 
 
 def count_members(spec: FamilySpec, x: int) -> int:
     """The counting function of the family at x (exact)."""
     if _is_chain(spec):
-        count, _ = _iter_tree(_tree_spec(spec), x, collect=False)
-        return count
-    return int(np.count_nonzero(_tree_level(spec, x)))
+        return _iter_tree(_tree_spec(spec), x, collect=False)[0]
+    return int(np.count_nonzero(member_mask(spec, x)))
 
 
 def count_family(spec: FamilySpec, x: int) -> CountReport:
@@ -485,12 +484,12 @@ _BULK_BUDGET = 1 << 30
 # as int32 (_level1_pairs' divisors), and per divisor pair or prime step of one
 # owner window, charged as _window_width(N) (ln(N + 1) + 2) of them, above the
 # mean ln N + 0.15 divisors of an n <= N.  The callers add 1 byte per level
-# (tree) or 2 per level and kind (tables).  ssf, phi and tree cover their peak
-# at N = 2e5 and their worst y or beta (tracemalloc, in tests/test_families.py):
-# 26.3, 38.1 and 88.6 bytes per n against 30.4, 40 and 102.9.  The tables'
-# charge covers only their arrays over every n, not their window or their
-# Python-int products.
-_BYTES = {"tables": (24, 0, 0), "ssf": (5, 0, 16), "phi": (40, 0, 0), "tree": (0, 12, 56)}
+# (tree, chain) or 2 per level and kind (tables).  ssf, phi, tree and chain (a
+# walk's int64 batches of members) cover their peak at N = 2e5 and their worst
+# y or beta (tracemalloc, in tests/test_families.py): 26.3, 38.1, 88.6 and 9.8
+# bytes per n against 30.4, 40, 102.9 and 11.  The tables' charge covers only
+# their arrays over every n, not their window or their Python-int products.
+_BYTES = {"tables": (24, 0, 0), "ssf": (5, 0, 16), "phi": (40, 0, 0), "tree": (0, 12, 56), "chain": (10, 0, 0)}
 
 
 def _charge(route: str, N: int, levels: int, held: int) -> float:
@@ -647,13 +646,21 @@ def _bulk_levels(N: int, y: Fraction, imax: int) -> tuple[np.ndarray, dict]:
     return smooth, levels | dense
 
 
-def _tree_level(spec: FamilySpec, x: int) -> np.ndarray:
-    """Dense(i) or StrongDense(i), i >= 3, over n <= x, masked to the squarefree n
-    for a squarefree spec: levels 1 and 2 from the chain tree (_tree_spec), then
-    the level loop of the bulk tables over the divisor pairs whose owner is in
-    level 2, since level i lies within it.  Dense(i) keeps the pair (i - 1, 0),
+def member_mask(spec: FamilySpec, x: int) -> np.ndarray:
+    """The members n <= x of the family, as a bool array over 0..x.
+
+    A chain family, and level 1 or 2 of Dense and StrongDense, is marked by the
+    chain tree (_tree_spec).  Dense(i) or StrongDense(i), i >= 3, takes levels 1
+    and 2 from the tree, then the level loop of the bulk tables over the divisor
+    pairs whose owner is in level 2, since level i lies within it, and is masked
+    to the squarefree n for a squarefree spec.  Dense(i) keeps the pair (i - 1, 0),
     so its kept divisors lie in level 2 too; StrongDense's (1, 1) at i = 3 needs
     the divisors in level 1.  No sieve and no array over every n but the levels."""
+    if x < 1:
+        raise DomainError("x must be >= 1")
+    if _is_chain(spec):
+        _charge("chain", x, 1, 0)
+        return _iter_tree(_tree_spec(spec), x, np.zeros(x + 1, dtype=bool))[1]
     strong = spec.kind == "strongdense"
     # the masks of levels 2..i, of level 1 for StrongDense and of the squarefree n
     levels = spec.i - 1 + strong + spec.squarefree
@@ -886,9 +893,7 @@ def check_ssf_identity_range(x_max: int, y: Fraction | int, beta: Fraction | int
     the a = 1/beta chain family, for every n <= x_max.  Implies the counting
     identity at every x <= x_max."""
     ok, spec = _ssf_identity(x_max, y, beta)
-    tree = np.zeros_like(ok)
-    tree[enumerate_members(spec, x_max)] = True
-    return bool(np.array_equal(ok, tree))
+    return bool(np.array_equal(ok, member_mask(spec, x_max)))
 
 
 def theta2_of(m: int, y: Fraction) -> Fraction:

@@ -678,7 +678,7 @@ def _winding_count(a, x0, x1, y0, y1, n0) -> int:
 def locate_zero_in_rect(
     a: Fraction | float,
     rect: tuple[float, float, float, float],
-    resolution: float = 0.005,
+    resolution: float,
 ) -> complex:
     """Bisect a rectangle certified (by winding) to hold exactly one zero
     until both sides are below ``resolution``; returns the center.

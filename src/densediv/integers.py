@@ -51,11 +51,6 @@ class FactoredInteger:
             raise DomainError(f"factorization of {self.n} does not reconstruct: {self.factors}")
 
     @property
-    def p_plus(self) -> int:
-        """Largest prime factor; 1 for n = 1 by convention."""
-        return self.factors[-1][0] if self.factors else 1
-
-    @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
@@ -70,17 +65,17 @@ class FactoredInteger:
         return reduce(lambda acc, fe: acc * (fe[1] + 1), self.factors, 1)
 
 
-def sieve_spf(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
+def sieve_spf(limit: int) -> np.ndarray:
     """Smallest-prime-factor table for 2..limit.
 
     Returns a read-only int32 array ``spf`` of length limit+1 with spf[n] the
     smallest prime factor of n (spf[0] = 0, spf[1] = 1, spf[p] = p for
-    primes); every entry is at most the budget, below 2**31.
+    primes); every entry is at most DEFAULT_SIEVE_BUDGET, below 2**31.
     """
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
-    if limit + 1 > budget:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {budget}")
+    if limit + 1 > DEFAULT_SIEVE_BUDGET:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}")
     spf = np.arange(limit + 1, dtype=np.int32)
     spf[0] = 0
     for p in range(2, math.isqrt(limit) + 1):

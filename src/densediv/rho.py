@@ -67,9 +67,9 @@ class RhoTable:
             return float(out)
         return out
 
-    def export_csv(self, dest, cert=None) -> None:
+    def export_csv(self, dest, cert) -> None:
         """Write (u, rho, model, ratio) rows to a path or an open text stream;
-        model/ratio need a certificate."""
+        model/ratio need the certificate cert, and are empty where it is None."""
         if isinstance(dest, (str, os.PathLike)):
             with open(dest, "w", newline="") as fh:
                 self.export_csv(fh, cert)

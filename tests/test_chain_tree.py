@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densediv.families import (
@@ -17,6 +17,7 @@ from densediv.families import (
     count_members,
     enumerate_members,
     is_member,
+    member_mask,
 )
 from densediv.integers import FactoredInteger
 
@@ -75,12 +76,34 @@ def _chain_specs(draw):
     return FamilySpec(kind, y, i=i, squarefree=sf)
 
 
+# the chain families the family_counts benchmark counts, at x = 3000
+_BENCH_CHAINS = [
+    FamilySpec("bpower", Fraction(100), a=Fraction(1)),
+    FamilySpec("bstar", Fraction(100), a=Fraction(2, 3), squarefree=True),
+    FamilySpec("thetalower", Fraction(100), i=2),
+    FamilySpec("dense", Fraction(10), i=2),
+    FamilySpec("smooth", Fraction(2)),
+    FamilySpec("thetalower", Fraction(2), i=3),
+    FamilySpec("thetaupper", Fraction(2), i=3),
+]
+
+
+def _with_bench_chains(test):
+    for spec in _BENCH_CHAINS:
+        test = example(spec, 3000)(test)
+    return test
+
+
 @given(_chain_specs(), st.integers(min_value=1, max_value=3000))
+@_with_bench_chains
 @settings(max_examples=60, deadline=None)
 def test_tree_matches_per_n_chain_check(spec, x):
     expect = [n for n in range(1, x + 1) if _chain_reference(spec, n)]
     assert enumerate_members(spec, x) == expect
     assert count_members(spec, x) == len(expect)
+    mask = np.zeros(x + 1, dtype=bool)
+    mask[expect] = True
+    assert np.array_equal(member_mask(spec, x), mask)
 
 
 def _root_reference(n, k):

@@ -453,27 +453,71 @@ class TestQuestionScan:
         doc = json.loads(r.output)
         assert doc["counterexamples"] == []
 
-    def test_each_query_brings_its_factorization(self, runner, monkeypatch):
-        # m*p is factored from m's primes and the prime p: factorize runs once
-        # per m, and the oracle never calls it
-        from densediv import families, integers
+    def test_reads_no_oracle(self, runner, monkeypatch):
+        # the scan reads one StrongDense(i) level; the single-n oracle is never asked
+        from densediv.families import FamilyOracle
 
-        calls = []
-        orig = integers.factorize
+        def refuse(*args, **kwargs):
+            raise AssertionError("question-scan queried the oracle")
 
-        def counting(n):
-            calls.append(n)
-            return orig(n)
-
-        def refuse(n):
-            raise AssertionError(f"the oracle factorized {n}")
-
-        monkeypatch.setattr(integers, "factorize", counting)
-        monkeypatch.setattr(families, "factorize", refuse)
+        monkeypatch.setattr(FamilyOracle, "member", refuse)
         r = runner.invoke(main, ["question-scan", "--i", "3", "--y", "2",
                                  "--m-max", "200", "--p-max", "40"])
         assert r.exit_code == 0, r.output
-        assert calls == list(range(1, 201))
+        assert json.loads(r.output)["counterexamples"] == []
+
+    def test_planted_level_reports_each_break(self, runner, monkeypatch):
+        # n = m p is read by m = n / P^+(n) alone, at p = P^+(n); a level that is
+        # no chain family shows every path of the scan
+        import numpy as np
+
+        from densediv import families
+
+        def planted(spec, x):
+            assert (spec.kind, spec.i, spec.y, x) == ("strongdense", 3, 2, 10 * 20)
+            level = np.ones(x + 1, dtype=bool)
+            level[[2, 3]] = False  # m = 1: out at 2 and 3, back in at 5
+            level[14] = False  # m = 2: out at 7, back in at 11; m = 7 reads no p < 7
+            level[15] = False  # m = 3: out at 5, back in at 7
+            level[[44, 52, 68, 76]] = False  # m = 4: out from 11 on, never back in
+            level[[27, 63]] = False  # m = 9: out at 3, back in at 5; 7 comes after
+            level[190] = False  # m = 10: out at 19, the last prime
+            return level
+
+        monkeypatch.setattr(families, "member_mask", planted)
+        r = runner.invoke(main, ["question-scan", "--i", "3", "--y", "2",
+                                 "--m-max", "10", "--p-max", "20"])
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.output)["counterexamples"] == [
+            {"m": 1, "p_out": 2, "p_in": 5}, {"m": 2, "p_out": 7, "p_in": 11},
+            {"m": 3, "p_out": 5, "p_in": 7}, {"m": 9, "p_out": 3, "p_in": 5}]
+
+    # stdout of the scans that asked the oracle about every m p (md5 d0edd4a0...
+    # and 254677e7...)
+    @pytest.mark.parametrize("args,stdout", [
+        ("--i 3 --y 2", '{"schema": 1, "i": 3, "y": "2", "m_max": 2000, "p_max": 200, "counterexamples": []}\n'),
+        ("--i 4 --y 5/2", '{"schema": 1, "i": 4, "y": "5/2", "m_max": 2000, "p_max": 200, "counterexamples": []}\n'),
+    ])
+    def test_default_scan_stdout(self, runner, args, stdout):
+        r = runner.invoke(main, ["question-scan", *args.split()])
+        assert r.exit_code == 0
+        assert r.stdout == stdout
+
+    def test_no_m(self, runner):
+        r = runner.invoke(main, ["question-scan", "--i", "3", "--y", "2", "--m-max", "0"])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["counterexamples"] == []
+
+    def test_budget_exit_code(self, runner):
+        # the StrongDense(3) level over n <= 1e10 is past the 1 GiB budget
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["question-scan", "--i", "3", "--y", "2",
+                                 "--m-max", "100000", "--p-max", "100000"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
 
 
 class TestStartup:

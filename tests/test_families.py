@@ -297,7 +297,8 @@ _TREE_WORST = Fraction(10**7)  # every n <= 2e5 is in levels 1 and 2
     ("phi", lambda N: families._phi_pairs(N, FamilySpec("bpower", Fraction(10**8), a=1)), 0, 0),
     ("tree", lambda N: count_members(FamilySpec("dense", _TREE_WORST, i=3), N), 2, 1),
     ("tree", lambda N: count_members(FamilySpec("strongdense", _TREE_WORST, i=5, squarefree=True), N), 6, 1),
-], ids=["ssf", "phi", "tree-dense3", "tree-strongdense5-squarefree"])
+    ("chain", lambda N: families.member_mask(FamilySpec("dense", _TREE_WORST, i=2), N), 1, 0),
+], ids=["ssf", "phi", "tree-dense3", "tree-strongdense5-squarefree", "chain-dense2"])
 def test_bulk_route_peak_within_its_charge(route, run, levels, held):
     # tracemalloc sees numpy buffers; held is the share of n <= N the route lists
     import tracemalloc
@@ -354,9 +355,11 @@ def test_bulk_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(integers, "np", NoArrays())
     # the first N past 1 GiB at imax = 4 (56 bytes per n), at 5 and at 40
     # bytes per n, all inside the sieve's own budget; Dense(3)'s tree route
-    # holds 2 bytes per n, and refuses before it walks the tree
+    # holds 2 bytes per n, and refuses before it walks the tree, as a chain
+    # family's mask does at 11
     for call in (lambda: families.membership_tables((1 << 30) // 56, Y2, 4),
                  lambda: count_members(FamilySpec("dense", 2, i=3), (1 << 30) // 2),
+                 lambda: families.member_mask(FamilySpec("bpower", Y2, a=1), (1 << 30) // 11),
                  lambda: families._ssf_within((1 << 30) // 5, 1, 2, 1, 1),
                  lambda: families._phi_pairs((1 << 30) // 40, FamilySpec("bpower", Y2, a=1))):
         with pytest.raises(ResourceLimitError):
@@ -676,17 +679,20 @@ class TestEnumerationConsistency:
 
     @pytest.mark.parametrize("y", [Y2, Fraction(5, 2), Fraction(10), Fraction(50)])
     def test_tree_route_matches_tables(self, y):
-        # every level i <= 5 of both kinds, member by member, against the tables
+        # every level i <= 5 of both kinds, member by member, as a list and as a
+        # mask, against the tables
         x = 200_000
         t = families.membership_tables(x, y, 5)
         sf = families._squarefree_mask(x)
         for kind in ("dense", "strongdense"):
             for i in range(1, 6):
                 for squarefree in (False, True):
+                    spec = FamilySpec(kind, y, i=i, squarefree=squarefree)
                     got = np.zeros(x + 1, dtype=bool)
-                    got[enumerate_members(FamilySpec(kind, y, i=i, squarefree=squarefree), x)] = True
+                    got[enumerate_members(spec, x)] = True
                     want = t[kind][i] & sf if squarefree else t[kind][i]
                     assert np.array_equal(got, want), (kind, i, squarefree)
+                    assert np.array_equal(families.member_mask(spec, x), want), (kind, i, squarefree)
 
     @settings(max_examples=200, deadline=None)
     @given(y=st.fractions(min_value=1, max_value=60, max_denominator=6).filter(lambda y: y > 1),
@@ -720,7 +726,7 @@ class TestEnumerationConsistency:
         count, members = _iter_tree(spec, x, collect=True)
         # the budget bounds the pushed nodes: the members n > 1 with a child,
         # n P^+(n) <= x (factorize is trial division, no code of the walk)
-        pushed = sum(1 for n in members.tolist() if n > 1 and n * factorize(n).p_plus <= x)
+        pushed = sum(1 for n in members.tolist() if n > 1 and n * factorize(n).factors[-1][0] <= x)
         assert 0 < pushed < count - 1
         monkeypatch.setattr(families, "_NODE_BUDGET", pushed)
         assert _iter_tree(spec, x, collect=False)[0] == count

@@ -581,7 +581,7 @@ class TestWinding:
     def test_locate_real_zero_in_rect_symmetric_about_axis(self):
         # the first split is the real axis, through -lambda_1 = -1, and a
         # later one falls on x = -1: both move off the midpoint
-        z = locate_zero_in_rect(1, (-1.5, -0.5, -0.6, 0.6))
+        z = locate_zero_in_rect(1, (-1.5, -0.5, -0.6, 0.6), 0.005)
         assert abs(z + 1.0) < 0.005
 
     def test_unresolved_phase_raises(self, monkeypatch):

@@ -56,7 +56,6 @@ class TestFactorize:
     def test_one(self):
         f = factorize(1)
         assert f.factors == ()
-        assert f.p_plus == 1
 
     def test_8424(self):
         assert factorize(8424).factors == ((2, 3), (3, 4), (13, 1))
