@@ -193,7 +193,7 @@ def question_scan(i_, y_, m_max, p_max):
     StrongDense(i) mask over n <= m_max*p_max, so exits 3 past its budget."""
     spec = _guard(FamilySpec, "strongdense", y_, i=i_)
     level = _guard(families.member_mask, spec, max(1, max(m_max, 0) * p_max))
-    primes = primes_upto(p_max)
+    primes = primes_upto(p_max) if m_max > 0 else []  # no m, no prime to list
     block = 1 << 16  # the m read at once, so the arrays beside the level stay small
     findings = []
     for lo in range(1, m_max + 1, block):

@@ -232,9 +232,11 @@ class FamilyOracle:
     i - 1 puts n in levels j and k of every keep pair (j, k); every kept
     divisor d lies in level j >= 1, so the y-dense check of each pair scans
     only the level-1 divisors of n.  Level-1 reads come from that list itself:
-    d is in it, and n/d is in level 1 iff it is in it too.  A divisor read at
-    a level >= 2 is handed n's factorization and takes its own from it only
-    to build its list, so factorize runs once per query, never on a divisor.
+    d is in it, and n/d is in level 1 iff it is in it too.  Level-1 membership
+    depends on the number alone, so the level-1 divisors of a divisor d of n
+    are those of n that divide d: a query builds one list from n's
+    factorization, and every divisor read at a level >= 2 filters its list
+    from the one it came from.  No divisor is ever factorized.
 
     Caches are value-keyed, so repeated divisor lookups across queries
     share work; safe to reuse across calls with the same y.  Each memo holds
@@ -248,26 +250,27 @@ class FamilyOracle:
         self._strong: dict[tuple[int, int], bool] = {}
         self._divs: dict[int, list[int]] = {}
 
-    def member(self, kind: str, n: int, i: int, f: FactoredInteger | None = None) -> bool:
+    def member(self, kind: str, n: int, i: int, f: FactoredInteger) -> bool:
         """n in Dense(i) (kind "dense") or StrongDense(i), by the keep pairs of
-        level i; f, if given, factors n or a multiple of n, so n is not factorized."""
+        level i; f factors n."""
         if i <= 0 or n == 1:
             return True
-        memo = self._dense if kind == "dense" else self._strong
-        key = (i, n)
-        ok = memo.get(key)
+        ok = (self._dense if kind == "dense" else self._strong).get((i, n))
         if ok is not None:
             return ok
-        f = f or factorize(n)
-        divs = self._divs.get(n)
-        if divs is None:
-            if f.n != n:
-                f = _divisor_factors(f, n)
-            divs = _remember(self._divs, n, _level1_divisors(f, self.y))
-        py, qy, member, get = self.py, self.qy, self.member, memo.get
+        return self._member(kind, n, i, self._divs.get(n) or _remember(self._divs, n, _level1_divisors(f, self.y)))
+
+    def _member(self, kind: str, n: int, i: int, divs: list[int]) -> bool:
+        """member past a memo miss, from divs, the level-1 divisors of n."""
+        if n == 1:
+            return True
+        memo = self._dense if kind == "dense" else self._strong
+        py, qy, get, sub = self.py, self.qy, memo.get, self._sub
         # the kept divisors start at 1 (n in level k) and end at n (n in level j);
         # level i - 1 holds n in both, and level 1 holds n iff n ends divs
-        ok = divs[-1] == n if i == 1 else member(kind, n, i - 1, f)
+        ok = divs[-1] == n if i == 1 else get((i - 1, n))
+        if ok is None:
+            ok = self._member(kind, n, i - 1, divs)
         level1 = set(divs) if ok and i >= 2 else ()
         for j, k in _keep_pairs(kind, i) if level1 else ():
             last = 1
@@ -276,12 +279,12 @@ class FamilyOracle:
                 # is read from divs, most other answers from the memo
                 kept = j == 1 or get((j, d))
                 if kept is None:
-                    kept = member(kind, d, j, f)
+                    kept = self._member(kind, d, j, sub(d, divs))
                 if kept and k:
                     e = n // d
                     kept = e in level1 if k == 1 else get((k, e))
                     if kept is None:
-                        kept = member(kind, e, k, f)
+                        kept = self._member(kind, e, k, sub(e, divs))
                 if kept:
                     if d * qy > last * py:
                         ok = False
@@ -289,20 +292,11 @@ class FamilyOracle:
                     last = d
             if not ok:
                 break
-        return _remember(memo, key, ok)
+        return _remember(memo, (i, n), ok)
 
-
-def _divisor_factors(f: FactoredInteger, d: int) -> FactoredInteger:
-    """The factorization of a divisor d of f.n, by exact division by f's primes."""
-    factors, m = [], d
-    for p, _ in f.factors:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    return FactoredInteger(d, tuple(factors))
+    def _sub(self, d: int, divs: list[int]) -> list[int]:
+        """The level-1 divisors of d, memoized: those in divs, a multiple's, that divide d."""
+        return self._divs.get(d) or _remember(self._divs, d, [t for t in divs[: bisect_right(divs, d)] if d % t == 0])
 
 
 # The oracles of the most recently used y values, least recent first.
@@ -592,20 +586,24 @@ def _pair_levels(kind: str, L: list, start: int, w: slice, n, d, py: int, qy: in
             L[i][_not_y_dense(n, d, kept, py, qy, bound)] = False
 
 
-def _bulk_levels(N: int, y: Fraction, imax: int) -> tuple[np.ndarray, dict]:
-    """The smooth table, and levels 0..imax over n <= N of thetalower, thetaupper,
-    dense and strongdense (level 0 holds every n).
+def membership_tables(N: int, y: Fraction, imax: int) -> dict:
+    """Read-only bool arrays over n <= N: smooth, and thetalower/thetaupper/
+    dense/strongdense per level i = 0..imax (level 0 holds every n).  Index 0
+    is False in smooth and in dense/strongdense for i >= 1, and True elsewhere.
 
     Array recurrences over every n <= N, compared exactly in int32, int64 or
     Python ints.  A chain family holds n when P^+(n) passes against the
     parent m = n / P^+(n) and m is a member.  Dense(1) = StrongDense(1) is
-    the chain family theta(m) = y m (Tenenbaum), ThetaUpper(1) without n = 0.
+    the chain family theta(m) = y m (Tenenbaum), ThetaUpper(1) without n = 0,
+    so the link Dense within ThetaUpper holds by construction at i = 1 only.
     Dense(i) and StrongDense(i), i >= 2, hold n when n is in level i - 1 and,
     for each keep pair (j, k) of level i, the d in level j with n/d in level k
     are y-dense.  Level i lies within level i - 1, so within levels j and k,
     and every kept d lies in level 1 (_keep_pairs), so the check reads only
     the divisor pairs with owner and divisor in level 1.  Each window's pairs
     are built once and serve both kinds, levels 2..imax in order (_pair_levels).
+    Neither the oracle nor the chain tree is used, so the tables stay an
+    independent route.
     """
     if N < 1 or imax < 0:
         raise DomainError(f"need N >= 1 and imax >= 0, got N = {N}, imax = {imax}")
@@ -635,15 +633,17 @@ def _bulk_levels(N: int, y: Fraction, imax: int) -> tuple[np.ndarray, dict]:
     steps = {"thetalower": lambda p, m, i: (p * qy <= py) | (p**i * qy <= py * m),
              "thetaupper": lambda p, m, i: (p * qy) ** i <= py**i * m}
     levels = {kind: [ones] + [chain(step, i) for i in range(1, imax + 1)] for kind, step in steps.items()}
-    first = chain(steps["thetaupper"], 1) & (n > 0)
+    first = levels["thetaupper"][1] & (n > 0) if imax else None
     del n, lpf, parent  # the window loop reads, of the arrays over every n, only the levels
-    dense = {kind: [ones, first, *(first.copy() for _ in range(2, imax + 1))][: imax + 1]
-             for kind in ("dense", "strongdense")}
+    for kind in ("dense", "strongdense"):
+        levels[kind] = [ones, first, *(first.copy() for _ in range(2, imax + 1))][: imax + 1]
     bound = N * max(py, qy)
     for w, n, d in _level1_pairs(first, first, N) if imax > 1 else ():
-        for kind, L in dense.items():
-            _pair_levels(kind, L, 2, w, n, d, py, qy, bound)
-    return smooth, levels | dense
+        for kind in ("dense", "strongdense"):
+            _pair_levels(kind, levels[kind], 2, w, n, d, py, qy, bound)
+    for t in (smooth, *(t for ts in levels.values() for t in ts)):
+        t.setflags(write=False)
+    return {"smooth": smooth} | levels
 
 
 def member_mask(spec: FamilySpec, x: int) -> np.ndarray:
@@ -655,7 +655,9 @@ def member_mask(spec: FamilySpec, x: int) -> np.ndarray:
     pairs whose owner is in level 2, since level i lies within it, and is masked
     to the squarefree n for a squarefree spec.  Dense(i) keeps the pair (i - 1, 0),
     so its kept divisors lie in level 2 too; StrongDense's (1, 1) at i = 3 needs
-    the divisors in level 1.  No sieve and no array over every n but the levels."""
+    the divisors in level 1.  The charge counts the members of the divisor level
+    by a walk that lists none, before the walks that mark the masks.  No sieve
+    and no array over every n but the levels."""
     if x < 1:
         raise DomainError("x must be >= 1")
     if _is_chain(spec):
@@ -667,12 +669,13 @@ def member_mask(spec: FamilySpec, x: int) -> np.ndarray:
     _charge("tree", x, levels, 0)
     py, qy = spec.y.numerator, spec.y.denominator
 
-    def walked(i):
-        return _iter_tree(_tree_spec(FamilySpec(spec.kind, spec.y, i=i)), x, np.zeros(x + 1, dtype=bool))
+    def walked(i, collect):
+        return _iter_tree(_tree_spec(FamilySpec(spec.kind, spec.y, i=i)), x, collect)
 
-    held, L2 = walked(2)
-    held, L1 = walked(1) if strong else (held, L2)
-    _charge("tree", x, levels, held)
+    # the divisor level's members, counted before any mask is allocated
+    _charge("tree", x, levels, walked(1 if strong else 2, False)[0])
+    L2 = walked(2, np.zeros(x + 1, dtype=bool))[1]
+    L1 = walked(1, np.zeros(x + 1, dtype=bool))[1] if strong else L2
     L = [None, L1, L2] + [L2.copy() for _ in range(3, spec.i + 1)]
     bound = x * max(py, qy)
     for w, n, d in _level1_pairs(L2, L1, x):
@@ -681,21 +684,6 @@ def member_mask(spec: FamilySpec, x: int) -> np.ndarray:
     if spec.squarefree:
         level &= _squarefree_mask(x)
     return level
-
-
-def membership_tables(N: int, y: Fraction, imax: int) -> dict:
-    """Read-only bool arrays over n <= N: smooth, and thetalower/thetaupper/
-    dense/strongdense per level i = 0..imax (level 0 holds every n), by _bulk_levels.
-    Dense(1) is ThetaUpper(1) there, so the link Dense within ThetaUpper holds
-    by construction at i = 1 only.  Neither the oracle nor the chain tree is
-    used, so the tables stay an independent route.
-    Index 0 is False in smooth and in dense/strongdense for i >= 1, and True
-    elsewhere.
-    """
-    smooth, levels = _bulk_levels(N, y, imax)
-    for t in (smooth, *(t for ts in levels.values() for t in ts)):
-        t.setflags(write=False)
-    return {"smooth": smooth} | levels
 
 
 # ---------------------------------------------------------------------------

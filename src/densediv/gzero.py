@@ -651,7 +651,7 @@ def _winding_count(a, x0, x1, y0, y1, n0) -> int:
         if abs(v) < _MIN_MOD:
             raise BoundaryZeroError("boundary sample too close to a zero")
 
-    def refine(p0, p1, v0, v1, depth=0) -> float:
+    def refine(p0, p1, v0, v1, depth) -> float:
         d = cmath.phase(v1 / v0)
         if abs(d) < 0.5 * math.pi:
             return d
@@ -667,7 +667,7 @@ def _winding_count(a, x0, x1, y0, y1, n0) -> int:
 
     total = 0.0
     for i in range(len(pts) - 1):
-        total += refine(pts[i], pts[i + 1], vals[i], vals[i + 1])
+        total += refine(pts[i], pts[i + 1], vals[i], vals[i + 1], 0)
     turns = total / (2 * math.pi)
     k = int(round(turns))
     if abs(turns - k) > 0.2:

@@ -33,7 +33,6 @@ from .errors import DomainError, ResourceLimitError
 from .specfun import buchstab_omega
 
 DEFAULT_STEP = Fraction(1, 128)
-DEFAULT_U_MAX = 60
 # Simpson nodes per numpy pass of build_rho_table: bounds the pass's
 # temporaries to a few hundred kB whatever the block size
 _PASS_NODES = 4096
@@ -137,7 +136,7 @@ def _grid(a, u_max: float, step) -> tuple[Fraction, Fraction, int]:
 
 def build_rho_table(
     a: Fraction | int | float,
-    u_max: float = DEFAULT_U_MAX,
+    u_max: float,
     step: Fraction | float = DEFAULT_STEP,
 ) -> RhoTable:
     """Tabulate rho_a on [0, u_max] with the given grid step.

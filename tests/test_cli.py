@@ -508,6 +508,15 @@ class TestQuestionScan:
         assert r.exit_code == 0
         assert json.loads(r.stdout)["counterexamples"] == []
 
+    def test_no_m_lists_no_primes(self, runner):
+        # with no m to scan no prime is listed, however large --p-max
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["question-scan", "--i", "3", "--y", "2",
+                                 "--m-max", "0", "--p-max", "1000000000000"])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["counterexamples"] == []
+        assert time.monotonic() - t0 < 1.0
+
     def test_budget_exit_code(self, runner):
         # the StrongDense(3) level over n <= 1e10 is past the 1 GiB budget
         t0 = time.monotonic()

@@ -117,7 +117,7 @@ class TestMembership:
             for n in range(1, N + 1, 7):
                 for i in (1, 2, 3, 4):
                     for kind in ("dense", "strongdense"):
-                        got = orc.member(kind, n, i)
+                        got = orc.member(kind, n, i, factorize(n))
                         assert got == bool(t[kind][i][n]), (kind, n, i, y)
                         assert got == ref.member(kind, n, i), (kind, n, i, y)
 
@@ -158,7 +158,7 @@ class TestSandwichSmall:
                 last[multiples] = d
             orc = FamilyOracle(y)
             spec = FamilySpec("bpower", y, a=Fraction(1))
-            oracle = [orc.member("dense", n, 1) for n in range(1, N + 1)]
+            oracle = [orc.member("dense", n, 1, factorize(n)) for n in range(1, N + 1)]
             chain = [is_member(n, spec) for n in range(1, N + 1)]
             assert oracle == chain == by_def[1:].tolist(), y
 
@@ -202,7 +202,7 @@ def _tables_match_definitions(N, y, imax=4):
         assert bool(t["smooth"][n]) == is_member(n, FamilySpec("smooth", y)), n
         for i in range(1, imax + 1):
             for kind in ("dense", "strongdense"):
-                assert bool(t[kind][i][n]) == orc.member(kind, n, i), (kind, n, i)
+                assert bool(t[kind][i][n]) == orc.member(kind, n, i, factorize(n)), (kind, n, i)
                 assert bool(t[kind][i][n]) == ref.member(kind, n, i), (kind, n, i)
             for kind in ("thetalower", "thetaupper"):
                 assert bool(t[kind][i][n]) == is_member(n, FamilySpec(kind, y, i=i)), (kind, n, i)
@@ -371,6 +371,33 @@ def test_bulk_budget_refuses_before_allocating(monkeypatch):
             call()
 
 
+def test_level_route_charges_before_its_masks(monkeypatch):
+    # Dense(3) and StrongDense(3) charge the members of their divisor level,
+    # levels 2 and 1, as counted by a walk that marks no mask, and refuse past
+    # that charge before any walk that marks one
+    walks = []
+    walk = families._iter_tree
+
+    def recorded(spec, x, collect):
+        walks.append(collect is False)
+        return walk(spec, x, collect)
+
+    for kind, level, levels in (("dense", 2, 2), ("strongdense", 1, 3)):
+        held = count_members(FamilySpec(kind, Y2, i=level), 1000)
+        need = families._charge("tree", 1000, levels, held)
+        monkeypatch.setattr(families, "_iter_tree", recorded)
+        monkeypatch.setattr(families, "_BULK_BUDGET", need)
+        walks.clear()
+        assert count_members(FamilySpec(kind, Y2, i=3), 1000) > 1
+        assert walks[0] and len(walks) > 1 and not any(walks[1:])
+        monkeypatch.setattr(families, "_BULK_BUDGET", need - 1)
+        walks.clear()
+        with pytest.raises(ResourceLimitError):
+            count_members(FamilySpec(kind, Y2, i=3), 1000)
+        assert walks == [True]
+        monkeypatch.undo()
+
+
 class TestOracleCache:
     def test_bounded_lru_over_y(self):
         for k in range(20):
@@ -390,8 +417,9 @@ class TestOracleCache:
 
         monkeypatch.setattr(families, "divisors", refuse)
         orc = FamilyOracle(Y2)
-        assert orc.member("dense", 8424, 3) and not orc.member("strongdense", 8424, 3)
-        assert orc.member("dense", 65520, 4) and not orc.member("strongdense", 65520, 4)
+        f, g = factorize(8424), factorize(65520)
+        assert orc.member("dense", 8424, 3, f) and not orc.member("strongdense", 8424, 3, f)
+        assert orc.member("dense", 65520, 4, g) and not orc.member("strongdense", 65520, 4, g)
 
         def y_dense(m):  # no two consecutive divisors of m with a ratio above 2
             ds = [e for e in range(1, m + 1) if m % e == 0]
@@ -401,18 +429,18 @@ class TestOracleCache:
 
     def test_one_read_of_the_level_below(self):
         # level i lies within level i - 1, so one read of n there serves every
-        # keep pair: 400 calls (573 when level-1 reads called member, 748 when
-        # each pair read levels j and k)
+        # keep pair: 314 recursive calls (573 when level-1 reads recursed, 748
+        # when each pair read levels j and k)
         orc = FamilyOracle(Y2)
         calls = []
-        member = orc.member
+        recurse = orc._member
 
         def counted(*args):
             calls.append(args)
-            return member(*args)
+            return recurse(*args)
 
-        orc.member = counted
-        assert orc.member("dense", 65520, 4)
+        orc._member = counted
+        assert orc.member("dense", 65520, 4, factorize(65520))
         assert len(calls) <= 573 and len(orc._dense) == 262
 
     def test_is_member_factorizes_n_once(self, monkeypatch):
@@ -434,27 +462,25 @@ class TestOracleCache:
             assert is_member(n, FamilySpec(kind, Y2, i=i)) == (kind == "dense")
             assert calls == [n]
 
-    def test_divisors_factored_only_to_build_their_lists(self, monkeypatch):
-        # a divisor read at a level >= 2 is handed n's factorization and takes
-        # its own from it only to build its level-1 list: on a cold oracle,
-        # once per list built below the query, and never on a memo read
+    def test_divisor_lists_filtered_from_n(self, monkeypatch):
+        # a cold oracle builds one level-1 list from a factorization, n's; every
+        # divisor read at a level >= 2 filters its list from n's, and gets the
+        # list its own factorization would build
         calls = []
-        orig = families._divisor_factors
+        build = families._level1_divisors
 
-        def counting(f, d):
-            calls.append(d)
-            return orig(f, d)
+        def counting(f, y):
+            calls.append(f.n)
+            return build(f, y)
 
-        monkeypatch.setattr(families, "_divisor_factors", counting)
+        monkeypatch.setattr(families, "_level1_divisors", counting)
         for kind, n, i in (("dense", 8424, 3), ("dense", 65520, 4), ("strongdense", 65520, 4)):
             orc = FamilyOracle(Y2)
             calls.clear()
             assert orc.member(kind, n, i, factorize(n)) == (kind == "dense")
-            assert calls and sorted(calls) == sorted(set(orc._divs) - {n})
-            # a multiple's factorization answers as n's own, or none, does
-            f = factorize(n)
-            for d in sorted(orc._divs)[::7]:
-                assert FamilyOracle(Y2).member(kind, d, i, f) == FamilyOracle(Y2).member(kind, d, i)
+            assert calls == [n] and len(orc._divs) > 1
+            for d, divs in orc._divs.items():
+                assert divs == build(factorize(d), Y2), d
 
     def test_divisor_cap_refuses_before_building(self, monkeypatch):
         # n with more than DEFAULT_DIVISOR_CAP divisors is refused at every
@@ -464,25 +490,25 @@ class TestOracleCache:
         for kind in ("dense", "strongdense"):
             orc = FamilyOracle(Y2)
             with pytest.raises(ResourceLimitError):
-                orc.member(kind, primorial, 2)
+                orc.member(kind, primorial, 2, factorize(primorial))
             assert not orc._divs
         monkeypatch.setattr(families, "DEFAULT_DIVISOR_CAP", 8)
         orc = FamilyOracle(Y2)
-        assert orc.member("dense", 30, 1) and orc.member("strongdense", 24, 2)
+        assert orc.member("dense", 30, 1, factorize(30)) and orc.member("strongdense", 24, 2, factorize(24))
         for n, i in ((60, 1), (48, 3)):
             with pytest.raises(ResourceLimitError):
-                orc.member("dense", n, i)
+                orc.member("dense", n, i, factorize(n))
 
     def test_memos_are_bounded(self, monkeypatch):
         # one member_queries round fills at most ~16k entries per memo, far
         # below _MEMO_CAP; a small cap evicts the oldest and keeps every answer
         y = Fraction(5, 2)
         fresh = FamilyOracle(y)
-        expect = [fresh.member(kind, n, i) for kind in ("dense", "strongdense")
+        expect = [fresh.member(kind, n, i, factorize(n)) for kind in ("dense", "strongdense")
                   for i in (2, 3, 5) for n in range(1, 800)]
         monkeypatch.setattr(families, "_MEMO_CAP", 40)
         orc = FamilyOracle(y)
-        got = [orc.member(kind, n, i) for kind in ("dense", "strongdense")
+        got = [orc.member(kind, n, i, factorize(n)) for kind in ("dense", "strongdense")
                for i in (2, 3, 5) for n in range(1, 800)]
         assert got == expect
         assert max(len(orc._dense), len(orc._strong), len(orc._divs)) == 40
@@ -505,7 +531,7 @@ def test_oracle_matches_definition_on_many_divisors(exponents, y, kind, i):
         for _ in range(e):
             if n * p <= 10**7:
                 n *= p
-    assert FamilyOracle(y).member(kind, n, i) == _REFERENCES[y].member(kind, n, i)
+    assert FamilyOracle(y).member(kind, n, i, factorize(n)) == _REFERENCES[y].member(kind, n, i)
 
 
 def _is_prime(q):
@@ -534,20 +560,17 @@ def _query_shape(rng, y, i):
 
 def test_oracle_matches_definition_on_single_query_shapes():
     # the last prime is large, so most divisors of n are read at level 1 from
-    # n's own list, and the rest get factorizations taken from n's primes
+    # n's own list, and the rest filter their lists from it
     rng = random.Random(24)
     for y in (Y2, Fraction(5, 2), Fraction(10)):
-        ref, given_f, own_f = DefinitionReference(y), FamilyOracle(y), FamilyOracle(y)
+        ref, orc = DefinitionReference(y), FamilyOracle(y)
         for i in (1, 2, 3, 4):
             for _ in range(3):
                 n = _query_shape(rng, y, i)
-                f = factorize(n)
                 for kind in ("dense", "strongdense"):
-                    expect = ref.member(kind, n, i)
-                    assert given_f.member(kind, n, i, f) == expect, (kind, n, i, y)
-                    assert own_f.member(kind, n, i) == expect, (kind, n, i, y)
-                for d in ref._divisors(n):
-                    assert families._divisor_factors(f, d) == factorize(d)
+                    assert orc.member(kind, n, i, factorize(n)) == ref.member(kind, n, i), (kind, n, i, y)
+        for d, divs in orc._divs.items():
+            assert divs == families._level1_divisors(factorize(d), y), (d, y)
 
 
 _LEVEL1_REFERENCES = {y: _REFERENCES.get(y) or DefinitionReference(y)
@@ -590,7 +613,7 @@ class TestEnumerationConsistency:
                 fast = enumerate_members(FamilySpec("dense", y, i=2, squarefree=sf), x)
                 slow = [
                     n for n in range(1, x + 1)
-                    if orc.member("dense", n, 2) and (not sf or factorize(n).is_squarefree)
+                    if orc.member("dense", n, 2, factorize(n)) and (not sf or factorize(n).is_squarefree)
                 ]
                 assert fast == slow, (y, sf, x)
 
@@ -601,7 +624,7 @@ class TestEnumerationConsistency:
         x = 100_000
         orc = FamilyOracle(y)
         superset = enumerate_members(FamilySpec("thetaupper", y, i=2), x)
-        filtered = sum(1 for n in superset if orc.member("dense", n, 2))
+        filtered = sum(1 for n in superset if orc.member("dense", n, 2, factorize(n)))
         assert count_members(FamilySpec("dense", y, i=2), x) == filtered
 
     @given(
@@ -653,7 +676,7 @@ class TestEnumerationConsistency:
             for squarefree in (False, True):
                 superset = enumerate_members(FamilySpec("thetaupper", y, i=i, squarefree=squarefree), x)
                 for kind in ("dense", "strongdense"):
-                    expect = sum(1 for n in superset if orc.member(kind, n, i))
+                    expect = sum(1 for n in superset if orc.member(kind, n, i, factorize(n)))
                     got = count_members(FamilySpec(kind, y, i=i, squarefree=squarefree), x)
                     assert got == expect, (kind, i, squarefree)
 
@@ -717,7 +740,7 @@ class TestEnumerationConsistency:
     @settings(max_examples=25, deadline=None)
     def test_dense2_count_matches_oracle(self, y, x):
         orc = FamilyOracle(y)
-        expect = sum(1 for n in range(1, x + 1) if orc.member("dense", n, 2))
+        expect = sum(1 for n in range(1, x + 1) if orc.member("dense", n, 2, factorize(n)))
         assert count_members(FamilySpec("dense", y, i=2), x) == expect
 
     def test_node_budget(self, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import densediv
 
-KNOB_BOUND = 15
+KNOB_BOUND = 12
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
