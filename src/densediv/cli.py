@@ -16,7 +16,7 @@ import numpy as np
 
 from . import families, gzero, reference, rho
 from ._constants import EULER_GAMMA
-from .errors import DomainError, ResourceLimitError
+from .errors import DenseDivError, DomainError, ResourceLimitError
 from .families import FamilySpec
 from .integers import primes_upto
 
@@ -76,6 +76,9 @@ def _guard(fn, *args, **kwargs):
     except ResourceLimitError as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
+    except DenseDivError as exc:  # routes that disagree, a search or a contour that fails
+        click.echo(f"verification failure: {exc}", err=True)
+        sys.exit(EXIT_VERIFY)
 
 
 @click.group()

@@ -26,6 +26,7 @@ from .integers import (
     FactoredInteger,
     divisors,
     factorize,
+    prime_array,
     primes_upto,
     sieve_spf,
 )
@@ -383,7 +384,7 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool | np.ndarray):
     if x < 1:
         raise DomainError("x must be >= 1")
     dtype = np.int64 if x < 2**63 else object
-    primes = np.array(primes_upto(_prime_ceiling(spec, x)), dtype=dtype)
+    primes = prime_array(_prime_ceiling(spec, x)).astype(dtype, copy=False)
     squares = primes**2
     cap = min(x, int(squares[-1]) if len(primes) else 1)  # x // m past it decides the same
     step = 1 if spec.squarefree else 0
@@ -853,7 +854,7 @@ def check_partial_density_sum(spec: FamilySpec, N: int) -> float:
         raise DomainError("density sum applies to chain families")
     members = np.sort(_iter_tree(spec, N, collect=True)[1])
     ts = _theta(spec, members)
-    parr = np.array(primes_upto(int(ts.max())), dtype=float)
+    parr = prime_array(int(ts.max())).astype(float)
     factors = 1.0 / (1.0 + 1.0 / parr) if spec.squarefree else 1.0 - 1.0 / parr
     prefix = np.concatenate(([1.0], np.cumprod(factors)))
     return sum((prefix[np.searchsorted(parr, ts, "right")] / members).tolist())

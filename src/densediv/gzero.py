@@ -35,6 +35,7 @@ from .errors import (
     BoundaryZeroError,
     DomainError,
     NumericalConsistencyError,
+    ResourceLimitError,
     SearchFailureError,
 )
 from .specfun import _lower_gamma, _lower_series, _special, b_coefficients, buchstab_omega, buchstab_omega_prime
@@ -169,7 +170,24 @@ def _e1_unit_panel(dps: int, m: int) -> tuple[tuple, tuple, tuple, tuple]:
         return us, weights, tuple(mp.log(u) for u in us), tuple(mp.e1(u) for u in us)
 
 
-@lru_cache(maxsize=4096)
+# the unit panels of h_2 one high-precision sample may sum, and _h2_panel keeps
+_H2_PANELS = 4096
+
+
+def _check_h2_budget(a: Fraction) -> None:
+    """Refuse an a whose high-precision samples of g_a would sum more than
+    _H2_PANELS unit panels of h_2.  At Re s = 0 and _dps(a) digits _h2_eval
+    sums the panels m with (m - 1)/a <= (dps + 10) ln 10, about 115 a once
+    a >= 0.07, so every a <= 35.57 is admitted."""
+    panels = math.floor((_dps(a) + 10) * math.log(10) * float(a)) + 1
+    if panels > _H2_PANELS:
+        raise ResourceLimitError(
+            f"a = {a}: a high-precision sample of g_a sums {panels} unit panels "
+            f"of h_2, budget {_H2_PANELS}"
+        )
+
+
+@lru_cache(maxsize=_H2_PANELS)
 def _h2_panel(a: Fraction, dps: int, m: int) -> tuple[tuple, tuple]:
     """log u and the weighted W(u) = exp(-u/a + E1(u)) at the nodes of the
     unit panel [m, m+1], at dps + 8 digits; only exp(-u/a) is computed per a."""
@@ -217,6 +235,7 @@ def _default_K(a: Fraction, s: complex, target: float = 1e-12) -> int:
     return min(max(K, kmin), _BMAX)
 
 
+@lru_cache(maxsize=256)
 def g_eval_series(a: Fraction | int | float, s: complex | float) -> tuple[complex, float]:
     """g_a(s) by the h_1 series + h_2 integral route; returns (value, bound).
 
@@ -225,11 +244,15 @@ def g_eval_series(a: Fraction | int | float, s: complex | float) -> tuple[comple
     working precision, from _dps(a) digits, whenever the summation is
     observed to cancel.  s at a non-positive integer is a removable point of
     the normalization: use g_eval_neg_int there.  Past Re s = -257 the
-    K <= _BMAX terms cannot meet K >= 1 - Re s, and the route refuses.
+    K <= _BMAX terms cannot meet K >= 1 - Re s, and the route refuses; so
+    does an a past the h_2 panel budget (_check_h2_budget).  The value
+    depends on (a, s) alone and is kept: find_lambda's polish reads a
+    bisection sample again without evaluating it.
     """
     a = Fraction(a) if not isinstance(a, Fraction) else a
     if a <= 0:
         raise DomainError("a must be > 0")
+    _check_h2_budget(a)
     sc = complex(s)
     if _at_nonpositive_integer(sc):
         raise DomainError("use g_eval_neg_int at non-positive integers")
@@ -463,6 +486,7 @@ def _dps(a: Fraction) -> int:
 def _find_lambda(a: Fraction) -> ZeroCertificate:
     if a <= 0:
         raise DomainError("a must be > 0")
+    _check_h2_budget(a)
     n_cap = int(math.ceil((2.0 / float(a)) * (math.log(1.0 / float(a)) + 2.0))) + 10
     prev = g_eval_neg_int(a, 0)
     if prev <= 0:
@@ -500,14 +524,11 @@ def _find_lambda(a: Fraction) -> ZeroCertificate:
                 lo, flo = mid, fm
             else:
                 hi = mid
-        # secant polish at full precision from the bracket ends; each point is
-        # evaluated once, the residual's at lam included
-        polished: dict[float, float] = {}
+        # secant polish at full precision from the bracket ends; g_eval_series
+        # keeps its values, so no point is evaluated twice in high precision
 
         def g_full(x: float) -> float:
-            if x not in polished:
-                polished[x] = _g_exact_or_series(a, complex(-x, 0.0)).real
-            return polished[x]
+            return _g_exact_or_series(a, complex(-x, 0.0)).real
 
         x0, x1 = lo, hi
         if x0 != x1:

@@ -86,16 +86,26 @@ def sieve_spf(limit: int) -> np.ndarray:
     return spf
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, by plain Eratosthenes on a byte sieve."""
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array, by Eratosthenes on a bool array.
+
+    Refuses n past DEFAULT_SIEVE_BUDGET before allocating, as sieve_spf does.
+    """
     if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+        return np.zeros(0, dtype=np.int64)
+    if n + 1 > DEFAULT_SIEVE_BUDGET:
+        raise ResourceLimitError(f"prime sieve limit {n} exceeds budget {DEFAULT_SIEVE_BUDGET}")
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n as a list of ints (prime_array, converted)."""
+    return prime_array(n).tolist()
 
 
 def factorize(n: int) -> FactoredInteger:

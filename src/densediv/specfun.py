@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
 from ._constants import EXP_NEG_GAMMA
@@ -188,7 +189,7 @@ def buchstab_omega_prime(u) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exponential integral J and the power series I
+# Exponential integral J
 # ---------------------------------------------------------------------------
 
 
@@ -197,23 +198,6 @@ def exp_integral_J(u: float) -> float:
     if u <= 0:
         raise DomainError("J(u) requires u > 0")
     return float(_special().exp1(u))
-
-
-# the most terms entire_I sums before its relative 1e-18 stop
-_I_TERMS = 120
-
-
-def entire_I(x: float) -> float:
-    """I(x) = integral of (e^t - 1)/t over [0, x], by its entire power series."""
-    total = 0.0
-    term = 1.0
-    for k in range(1, _I_TERMS + 1):
-        term *= x / k
-        contrib = term / k
-        total += contrib
-        if abs(contrib) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -360,33 +344,18 @@ def k_oscillatory(nu: float) -> float:
     if nu <= 0:
         raise DomainError("K(nu) requires nu > 0")
 
-    def phi(x):
-        return nu * (x**3 - 3.0 * x) / 2.0
-
-    def dphi(x):
-        return 1.5 * nu * (x * x - 1.0)
-
     A = max(6.0, (1.2e8 / nu**3) ** 0.125 * 1.2)
-    bps = [0.0]
     n1 = int(math.ceil(nu / math.pi)) + 2
-    bps += list(np.linspace(0.0, 1.0, n1 + 1)[1:])
-    pA, p1 = phi(A), phi(1.0)
+    # the phase phi(x) = nu (x^3 - 3x)/2 at A and at 1
+    pA, p1 = nu * (A**3 - 3.0 * A) / 2.0, -nu
     npan = int(math.ceil((pA - p1) / math.pi))
-    x = 1.0
-    for j in range(1, npan):
-        target = p1 + j * (pA - p1) / npan
-        x = max(x, 1.0 + 1e-9)
-        for _ in range(60):
-            d = dphi(x)
-            step = (phi(x) - target) / (d if d > 0 else 1e-9)
-            x -= step
-            if x <= 1.0:
-                x = 1.0 + 1e-12
-            if abs(step) < 1e-12 * max(1.0, x):
-                break
-        bps.append(x)
-    bps.append(A)
-    bps = np.array(sorted(set(bps)))
+    # past x = 1 a breakpoint every pi of phase: phi(x) = target is
+    # x^3 - 3x = 2c with c = target/nu, whose root x >= 1 is
+    # 2 cos(arccos(c)/3) for c <= 1 and 2 cosh(arccosh(c)/3) past 1
+    c = (p1 + np.arange(1, npan) * (pA - p1) / npan) / nu
+    roots = np.where(c <= 1.0, 2.0 * np.cos(np.arccos(np.minimum(c, 1.0)) / 3.0),
+                     2.0 * np.cosh(np.arccosh(np.maximum(c, 1.0)) / 3.0))
+    bps = np.unique(np.concatenate(([0.0], np.linspace(0.0, 1.0, n1 + 1)[1:], roots, [A])))
     lo, hi = bps[:-1], bps[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -394,7 +363,7 @@ def k_oscillatory(nu: float) -> float:
     F = np.cos(nu * (U**3 - 3.0 * U) / 2.0)
     val = float(np.sum(half * (F @ _GLW10)))
     # IBP boundary terms at A; the neglected remainder is < ~1e-8 by choice of A
-    dA = dphi(A)
+    dA = 1.5 * nu * (A * A - 1.0)
     d2A = 3.0 * nu * A
     psiA = (3.0 * nu * dA - 3.0 * d2A * d2A) / dA**4
     tail = -math.sin(pA) / dA + math.cos(pA) * d2A / dA**3 - math.sin(pA) * psiA / dA
@@ -404,33 +373,11 @@ def k_oscillatory(nu: float) -> float:
 def k_zeros(count: int) -> list[float]:
     """First ``count`` positive zeros of K(nu), increasing.
 
-    Located by bracketing sign changes of the Airy-path evaluation and
-    bisection refinement (the zeros satisfy nu_k ~ pi*(k + 3/4) for large k).
+    K(nu) = 2 pi (2/(3 nu))^{1/3} Ai(-(3 nu/2)^{2/3}) vanishes exactly where
+    -(3 nu/2)^{2/3} is a zero a_k of Ai, so nu_k = (2/3) |a_k|^{3/2}
+    (nu_k ~ pi (k + 3/4) for large k).  The a_k come from mpmath's
+    airyaizero at 20 digits, so each nu_k is good to a few ulps; scipy's
+    ai_zeros is off by up to 8e-12 at a_5.
     """
-    zeros: list[float] = []
-    lo = 0.3
-    step = 0.05
-    prev_u = lo
-    prev_v = k_airy(lo)
-    u = lo
-    while len(zeros) < count and u < 6.0 + math.pi * (count + 2):
-        u += step
-        v = k_airy(u)
-        if v == 0.0:
-            zeros.append(u)
-        elif prev_v * v < 0.0:
-            a, b = prev_u, u
-            fa = prev_v
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = k_airy(m)
-                if fm == 0.0 or (b - a) < 1e-14:
-                    a = b = m
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = m, fm
-                else:
-                    b = m
-            zeros.append(0.5 * (a + b))
-        prev_u, prev_v = u, v
-    return zeros[:count]
+    with mp.workdps(20):
+        return [float(2 * (-mp.airyaizero(k)) ** 1.5 / 3) for k in range(1, count + 1)]

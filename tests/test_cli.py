@@ -418,6 +418,36 @@ class TestVerifyAndDeterminism:
         assert r.stderr.startswith("resource limit: ")
         assert time.monotonic() - t0 < 5.0
 
+    def test_residue_disagreement_exit_code(self, runner):
+        # at a = 1/65 the two residue routes disagree past their tolerance: a
+        # verification failure with one line on stderr, not a traceback
+        r = runner.invoke(main, ["certificate", "--a", "1/65"])
+        assert r.exit_code == 4
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("verification failure: residue routes disagree")
+
+    def test_certificate_budget_exit_code(self, runner):
+        # a = 1000 would sum ~115,000 unit panels of h_2 per high-precision
+        # sample; it is refused before the first
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["certificate", "--a", "1000"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
+
+    def test_prime_sieve_budget_exit_code(self, runner):
+        # the smooth walk to y = 1e9 lists the primes to 1e9, past the sieve budget
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["count", "--family", "smooth", "--y", "1000000000",
+                                 "--x", "1000000000"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
+
     # stdout of the count route for Dense(i != 2) and StrongDense, captured
     # while it still filtered the ThetaUpper(i) superset with the oracle
     @pytest.mark.parametrize("args,golden", [

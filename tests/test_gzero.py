@@ -16,6 +16,7 @@ from densediv.errors import (
     BoundaryZeroError,
     DomainError,
     NumericalConsistencyError,
+    ResourceLimitError,
     SearchFailureError,
 )
 from densediv import gzero
@@ -355,30 +356,48 @@ class TestFindLambda:
 
     @pytest.mark.parametrize("i", range(2, 11))
     def test_polish_evaluates_each_point_once(self, monkeypatch, i):
-        # the secant, its repeats and the residual at lambda evaluate each
-        # point once; only the bisection's own samples (margin route) are
-        # left out, as the polish may start from one of them
+        # every high-precision point (bisection samples below the margin, the
+        # secant's, the residual's at lambda and residue_C's) is evaluated
+        # once: g_eval_series' cache misses are its distinct points
         a = Fraction(1, i)
         expected = find_lambda(a)
-        orig_route, orig_mp = gzero._g_exact_or_series, gzero.g_eval_series
-        margins, calls = [], []
-
-        def route(a_, s, margin=None):
-            margins.append(margin)
-            try:
-                return orig_route(a_, s, margin)
-            finally:
-                margins.pop()
+        orig = gzero.g_eval_series
+        calls = []
 
         def counting(a_, s):
-            if 50.0 not in margins:
-                calls.append(s)
-            return orig_mp(a_, s)
+            calls.append(s)
+            return orig(a_, s)
 
-        monkeypatch.setattr(gzero, "_g_exact_or_series", route)
         monkeypatch.setattr(gzero, "g_eval_series", counting)
+        orig.cache_clear()
         assert gzero._find_lambda.__wrapped__(a) == expected
-        assert calls and len(set(calls)) == len(calls)
+        assert calls and orig.cache_info().misses == len(set(calls))
+
+    def test_samples_are_kept_by_point(self):
+        # a = 1/i, i <= 10, sample g_a in high precision at 33 distinct
+        # points; each is evaluated once, and the repeats (the polish starting
+        # from a bisection sample, the residual at lambda) are cache hits
+        gzero.g_eval_series.cache_clear()
+        for i in range(1, 11):
+            gzero._find_lambda.__wrapped__(Fraction(1, i))
+        info = gzero.g_eval_series.cache_info()
+        assert info.misses == 33 and info.hits > 0
+        assert info.maxsize is not None  # the memo is bounded
+
+    def test_a_past_the_panel_budget_refused(self, monkeypatch):
+        # a = 1000 would sum ~115,000 unit panels of h_2 per sample; it is
+        # refused before any sample of g_a, and the largest admitted a is 35.57
+        def no_sample(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(gzero, "_g_series_float", no_sample)
+        monkeypatch.setattr(gzero, "g_eval_neg_int", no_sample)
+        for a in (Fraction(1000), Fraction(3558, 100), Fraction(10**6)):
+            with pytest.raises(ResourceLimitError, match="unit panels of h_2"):
+                gzero._find_lambda.__wrapped__(a)
+            with pytest.raises(ResourceLimitError):
+                g_eval_series(a, 0.5)
+        gzero._check_h2_budget(Fraction(3557, 100))
 
     def test_float_route_nan_in_the_bracket(self):
         # at a = 1/60 the float route is NaN near s = -204; the NaN must not be

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from densediv.errors import DomainError, ResourceLimitError
 from densediv.integers import (
+    DEFAULT_SIEVE_BUDGET,
     FactoredInteger,
     divisors,
     factorize,
+    prime_array,
     primes_upto,
     sieve_spf,
 )
@@ -136,3 +138,13 @@ class TestDivisors:
 def test_primes_upto():
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1) == []
+
+
+def test_prime_array_matches_the_spf_sieve_and_its_budget():
+    arr = prime_array(10**5)
+    assert arr.dtype == np.int64
+    spf = sieve_spf(10**5)
+    assert np.array_equal(arr, np.flatnonzero(spf == np.arange(spf.size))[2:])  # spf[p] = p
+    assert prime_array(1).size == 0 and primes_upto(2) == [2]
+    with pytest.raises(ResourceLimitError):
+        prime_array(DEFAULT_SIEVE_BUDGET)  # refused before the array is allocated

@@ -14,7 +14,6 @@ from densediv.specfun import (
     buchstab_omega,
     buchstab_omega_prime,
     build_omega_table,
-    entire_I,
     exp_integral_J,
     gamma_complex,
     k_airy,
@@ -23,7 +22,7 @@ from densediv.specfun import (
     upper_incomplete_gamma,
 )
 
-from _shared import omega_table_reference
+from _shared import entire_I, omega_table_reference
 
 
 class TestOmega:
@@ -240,6 +239,13 @@ class TestKAiry:
         # nu_k ~ pi (k + 3/4); the stated check is nu_3 against pi*3.75
         zs = k_zeros(4)
         assert abs(zs[3] - math.pi * 3.75) < 0.01
+
+    def test_closed_form_zeros_are_zeros(self):
+        # nu_k = (2/3)|a_k|^{3/2} from the zeros a_k of Ai: K vanishes there
+        zs = k_zeros(8)
+        assert zs == sorted(zs) and len(zs) == 8
+        assert all(abs(k_airy(nu)) < 1e-12 for nu in zs)
+        assert k_zeros(0) == [] and k_zeros(-1) == []
 
     def test_two_path_agreement(self):
         for nu in np.linspace(0.5, 15.0, 30):
