@@ -17,19 +17,14 @@ from .families import (
     FamilySpec,
     check_factorization_lemma,
     check_partial_density_sum,
-    check_phi_identity,
     check_phi_identity_range,
-    check_ssf_identity,
-    check_theta2,
-    count_A_beta,
+    check_ssf_identity_range,
     count_family,
     count_members,
     enumerate_members,
     is_member,
     member_mask,
     membership_tables,
-    phi_count,
-    schinzel_szekeres,
 )
 from .gzero import (
     ZeroCertificate,
@@ -51,12 +46,9 @@ from .specfun import (
     b_coefficients,
     buchstab_omega,
     build_omega_table,
-    exp_integral_J,
     gamma_complex,
-    k_airy,
     k_oscillatory,
     k_zeros,
-    upper_incomplete_gamma,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ All output is deterministic: identical configuration gives identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -111,6 +112,10 @@ def member(family, y_, i_, a_, squarefree, n):
     click.echo("true" if ok else "false")
 
 
+# the members enumerate formats per write
+_SLICE = 1 << 12
+
+
 @main.command("enumerate")
 @_with_family_opts
 @click.option("--x", type=int, required=True)
@@ -118,11 +123,15 @@ def member(family, y_, i_, a_, squarefree, n):
 def enumerate_cmd(family, y_, i_, a_, squarefree, x, fmt):
     """List all members up to x."""
     spec = _make_spec(family, y_, i_, a_, squarefree)
-    members = _guard(families.enumerate_members, spec, x)
-    if fmt == "plain":
-        click.echo(" ".join(str(m) for m in members))
-    else:
-        _emit(fmt, ["n"], [[m] for m in members])
+    members = _guard(families.enumerate_members, spec, x)  # never empty: 1 is a member
+    # _emit's bytes, written a slice of members at a time, so that no string
+    # or row list the size of the output is held beside the member list
+    head, sep, tail = {"plain": ("", " ", "\n"), "csv": ("n\n", "\n", "\n"),
+                       "json": ('{"schema": 1, "columns": ["n"], "rows": [[', "], [", "]]}\n")}[fmt]
+    click.echo(head, nl=False)
+    for k in range(0, len(members), _SLICE):
+        click.echo(sep * (k > 0) + sep.join(map(str, members[k : k + _SLICE])), nl=False)
+    click.echo(tail, nl=False)
 
 
 @main.command()
@@ -281,7 +290,7 @@ def _suite_identities(xmax: int) -> list[dict]:
             })
     for beta in (Fraction(1), Fraction(2)):
         for y in (Fraction(2), Fraction(3)):
-            ok = families.check_ssf_identity(xmax, y, beta)
+            ok = families.check_ssf_identity_range(xmax, y, beta)
             results.append({"name": f"ssf identity beta={beta} y={y}", "passed": ok,
                             "detail": f"x={xmax}"})
     # Dense(2) by its definition (the bulk tables) against the theta_2 chain tree
@@ -348,9 +357,55 @@ def _suite_saddle() -> list[dict]:
     return results
 
 
+def _suite_paper() -> list[dict]:
+    """The statements behind the order of magnitude of Dense(i), each at a size
+    fixed here, with its residual against its bound."""
+    results = []
+    # n = d_v d_w with R/y <= d_w <= R, d_w in level w and d_v in level v of ThetaLower
+    y, bad, tried = Fraction(2), 0, 0
+    for i in (1, 2, 3):
+        for n in families.enumerate_members(FamilySpec("thetalower", y, i=i), 1000):
+            for v, k in itertools.product(range(i), range(1, 7)):
+                tried += 1
+                R = max(Fraction(k * n, 3), 1)  # 1 <= R <= y n
+                bad += not families.check_factorization_lemma(n, i, y, R, v, i - 1 - v)
+    results.append({"name": "factorization lemma y=2 i<=3", "passed": bad == 0,
+                    "detail": f"failures={bad} (bound 0) over {tried} (n, v, R), n<=1000"})
+    # the density sum over the members of a chain family rises to 1
+    spec = FamilySpec("bpower", y, a=Fraction(1))
+    gaps = [1 - families.check_partial_density_sum(spec, 10**e) for e in (3, 4, 5)]
+    results.append({"name": "partial density sum theta=y*n y=2", "passed": 0 < gaps[2] < gaps[1] < gaps[0],
+                    "detail": f"1-S(N)={', '.join(f'{g:.4f}' for g in gaps)} at N=1e3,1e4,1e5 "
+                              "(bound: positive and falling)"})
+    for a, s in ((Fraction(1), 1.0), (Fraction(1, 2), complex(-2, 3))):
+        res = gzero.dgda_identity_check(a, s)
+        results.append({"name": f"dg/da identity a={a} s={s}", "passed": res < 1e-6,
+                        "detail": f"residual={res:.1e} (bound 1e-06)"})
+    for row in gzero.lambda_asymptote_report([1, 2]):
+        results.append({"name": f"lambda_a regime a={row['a']}", "passed": row["r_a_ok"],
+                        "detail": f"r_a={row['r_a']:.4f} (bound |r_a|<=2/3)"})
+    rows = gzero.lambda_asymptote_report([Fraction(1, i) for i in (5, 10, 20)])
+    gaps = [row["small_a_gap"] for row in rows]
+    results.append({"name": "lambda_a regime a=1/5,1/10,1/20", "passed": 0 < gaps[2] < gaps[1] < gaps[0],
+                    "detail": f"a*lambda_a-log(1/a)+1={', '.join(f'{g:.4f}' for g in gaps)} "
+                              "(bound: positive and falling)"})
+    # every zero s of g_1 has |s| <= H_1(Re s), and H_1 falls with Re s: a count of 1
+    # in [-lambda_1 - 0.01, 0] x [-H, H] leaves no zero right of -lambda_1 but it
+    sigma = -gzero.find_lambda(1).lam - 0.01
+    H = gzero.h_bound(1, sigma)
+    n0 = gzero.count_zeros_rect(1, (sigma, 0.0, -H, H))
+    results.append({"name": "zero bound H_1: right-most zero", "passed": n0 == 1,
+                    "detail": f"zeros={n0} (bound 1) in [{sigma:.2f}, 0] x [-H, H], H={H:.4f}"})
+    z = gzero.locate_zero_in_rect(1, (-3.6, -2.5, 10.8, 11.9), resolution=0.01)
+    Hz = gzero.h_bound(1, z.real)
+    results.append({"name": "zero bound H_1: complex zero", "passed": abs(z) <= Hz,
+                    "detail": f"|s|={abs(z):.4f} at {z:.4f} (bound H_1(Re s)={Hz:.4f})"})
+    return results
+
+
 @main.command()
-@click.option("--suite", type=click.Choice(["sandwich", "identities", "rho", "zeros", "saddle", "all"]),
-              required=True)
+@click.option("--suite", required=True,
+              type=click.Choice(["sandwich", "identities", "rho", "zeros", "saddle", "paper", "all"]))
 @click.option("--nmax", type=int, default=100_000)
 @click.option("--xmax", type=int, default=10_000)
 def verify(suite, nmax, xmax):
@@ -361,6 +416,7 @@ def verify(suite, nmax, xmax):
         "rho": _suite_rho,
         "zeros": _suite_zeros,
         "saddle": _suite_saddle,
+        "paper": _suite_paper,
     }
     names = list(runners) if suite == "all" else [suite]
     results = []

@@ -131,8 +131,8 @@ def _theta(spec: FamilySpec, m: np.ndarray) -> np.ndarray:
     ThetaUpper, so theta^qa = y^qa m^pa, and theta = max(y, (y m)^a) for
     bstar and ThetaLower, so the root is of (y m)^pa.  The products are int32,
     int64 or Python ints, sized by the largest (_exact).  Dense(2) is the
-    chain family of theta_2 (see theta2_of), the identity check_theta2
-    verifies against the definition; its theta is read node by node.
+    chain family of theta_2 (see theta2_of), an identity the tests verify
+    against the definition; its theta is read node by node.
     """
     py, qy = spec.y.numerator, spec.y.denominator
     if spec.kind == "smooth":
@@ -358,7 +358,7 @@ def _prime_ceiling(spec: FamilySpec, x: int) -> int:
     return min(x, int(max(base, alt, yf)) + 10)
 
 
-# the nodes one chain-tree walk may push, and the members one walk may collect
+# the nodes one chain-tree walk may push
 _NODE_BUDGET = 200_000_000
 # the children one step of the walk expands
 _BATCH = 1 << 12
@@ -379,7 +379,8 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool | np.ndarray):
     prime indices left to each.  A step takes _BATCH children from the top entry (a lone node with
     more gives its first _BATCH) and leaves the rest there, so the stack holds
     at most one entry per depth.  Nodes are int64 below 2**63 and Python ints
-    past it.  _NODE_BUDGET bounds the nodes pushed, and the members collected.
+    past it.  _NODE_BUDGET bounds the nodes pushed; a walk that lists its
+    members charges them as it goes (_charge's "list" row).
     """
     if x < 1:
         raise DomainError("x must be >= 1")
@@ -401,8 +402,8 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool | np.ndarray):
         c = np.maximum(hi - i0, 0)
         count += int(c.sum())
         if collect is not False:
-            if count - 1 > _NODE_BUDGET and mask is None:
-                raise ResourceLimitError("enumeration member budget exceeded")
+            if mask is None:
+                _charge("list", x, 0, count)
             batch = np.repeat(m, c) * primes[_ranges(i0, c)]
             if mask is None:
                 members.append(batch)
@@ -431,10 +432,13 @@ def _iter_tree(spec: FamilySpec, x: int, collect: bool | np.ndarray):
 
 
 def enumerate_members(spec: FamilySpec, x: int) -> list[int]:
-    """All members of the family up to x, sorted increasing."""
+    """All members of the family up to x, sorted increasing.  The list is
+    charged as it grows (a chain walk), or before it is built from the mask."""
     if _is_chain(spec):
         return np.sort(_iter_tree(_tree_spec(spec), x, collect=True)[1]).tolist()
-    return np.flatnonzero(member_mask(spec, x)).tolist()
+    mask = member_mask(spec, x)
+    _charge("list", x, 1, int(np.count_nonzero(mask)))
+    return np.flatnonzero(mask).tolist()
 
 
 def count_members(spec: FamilySpec, x: int) -> int:
@@ -484,7 +488,11 @@ _BULK_BUDGET = 1 << 30
 # y or beta (tracemalloc, in tests/test_families.py): 26.3, 38.1, 88.6 and 9.8
 # bytes per n against 30.4, 40, 102.9 and 11.  The tables' charge covers only
 # their arrays over every n, not their window or their Python-int products.
-_BYTES = {"tables": (24, 0, 0), "ssf": (5, 0, 16), "phi": (40, 0, 0), "tree": (0, 12, 56), "chain": (10, 0, 0)}
+# list is a member list: a walk's int64 batches, their sorted copy, and the
+# Python ints with their list pointers beside it, 48 bytes per member at 2e5
+# and 1e7 (tracemalloc, with the CLI writing it slice by slice) against 56.
+_BYTES = {"tables": (24, 0, 0), "ssf": (5, 0, 16), "phi": (40, 0, 0), "tree": (0, 12, 56), "chain": (10, 0, 0),
+          "list": (0, 56, 0)}
 
 
 def _charge(route: str, N: int, levels: int, held: int) -> float:
@@ -688,40 +696,8 @@ def member_mask(spec: FamilySpec, x: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Schinzel-Szekeres function and A_beta
+# Schinzel-Szekeres masks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SSFValue:
-    """F_beta(n): the maximizing divisor and the exact comparison key.
-
-    For beta = pb/qb the key is d**qb * P^-(d)**pb; keys compare exactly like
-    the real values d * P^-(d)**beta (same qb).
-    """
-
-    d: int
-    key: int
-    beta: Fraction
-
-
-def _beta(beta: Fraction | int) -> Fraction:
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
-    return beta
-
-
-def schinzel_szekeres(n: int | FactoredInteger, beta: Fraction | int) -> SSFValue:
-    """F_beta(n) = max over divisors d > 1 of d * (P^-(d))^beta; F_beta(1) = 1."""
-    beta = _beta(beta)
-    pb, qb = beta.numerator, beta.denominator
-    f = n if isinstance(n, FactoredInteger) else factorize(n)
-    keys = (
-        (d, d**qb * next(q for q, _ in f.factors if d % q == 0) ** pb) for d in divisors(f)[1:]
-    )
-    best_d, best_key = max(keys, key=lambda dk: dk[1], default=(1, 1))
-    return SSFValue(d=best_d, key=best_key, beta=beta)
 
 
 def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.ndarray:
@@ -740,7 +716,9 @@ def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.
     """
     if N < 1:
         raise DomainError("x must be >= 1")
-    beta = _beta(beta)
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise DomainError("beta must be > 0")
     pb, qb = beta.numerator, beta.denominator
     # the int32 sieve and the mask hold 5 bytes per n, a window's steps the rest
     _charge("ssf", N, 0, 0)
@@ -762,22 +740,8 @@ def _ssf_within(N: int, beta: Fraction | int, num: int, den: int, e: int) -> np.
     return ok
 
 
-def count_A_beta(x: int, y: Fraction | int, beta: Fraction | int, squarefree: bool = False) -> int:
-    """|{n <= x : F_beta(n) <= x*y}| (exact comparisons)."""
-    y = Fraction(y)
-    if y < 1:
-        raise DomainError("y must be >= 1")
-    qb = Fraction(beta).denominator
-    bound = x * y
-    # d p^beta <= B  <=>  d^qb p^pb B_den^qb <= B_num^qb
-    ok = _ssf_within(x, beta, bound.numerator**qb, bound.denominator**qb, 0)
-    if squarefree:
-        ok &= _squarefree_mask(x)
-    return int(np.count_nonzero(ok))
-
-
 # ---------------------------------------------------------------------------
-# Phi counts and the exact identities
+# Phi pairs and the exact identities
 # ---------------------------------------------------------------------------
 
 
@@ -787,21 +751,6 @@ def _squarefree_mask(limit: int) -> np.ndarray:
     for p in primes_upto(math.isqrt(limit)):
         mask[p * p :: p * p] = False
     return mask
-
-
-def phi_count(x: float, y: float | Fraction, squarefree: bool = False) -> int:
-    """Phi(x,y) = |{1 <= n <= x : P^-(n) > y}| (mu^2(n)=1 too if squarefree).
-
-    Counts n = 1 always (P^-(1) = +inf).  Exact for rational y since
-    P^-(n) > y iff P^-(n) > floor(y).
-    """
-    if x < 1:
-        return 0
-    xi = int(math.floor(x))
-    keep = sieve_spf(max(xi, 2))[2 : xi + 1] > math.floor(Fraction(y))
-    if squarefree:
-        keep = keep & _squarefree_mask(xi)[2 : xi + 1]
-    return 1 + int(np.count_nonzero(keep))
 
 
 def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -831,16 +780,10 @@ def _phi_pairs(x: int, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     return np.bincount(np.concatenate(pos), minlength=x + 1), ok
 
 
-def check_phi_identity(x: int, spec: FamilySpec) -> bool:
-    """Exact check of  [x] = sum over members n of Phi(x/n, theta(n)),
-    or its squarefree analogue with Phi_0 on both sides."""
-    c, ok = _phi_pairs(x, spec)
-    return int(c.sum()) == int(np.count_nonzero(ok))
-
-
 def check_phi_identity_range(x_max: int, spec: FamilySpec) -> bool:
-    """The same identity verified simultaneously for every x <= x_max: each
-    m <= x_max is n k for exactly one pair (for squarefree m only)."""
+    """Exact check of  [x] = sum over members n of Phi(x/n, theta(n)), or its
+    squarefree analogue with Phi_0 on both sides, at every x <= x_max at once:
+    each m <= x_max is n k for exactly one pair (for squarefree m only)."""
     c, ok = _phi_pairs(x_max, spec)
     return bool(np.array_equal(c, ok))
 
@@ -860,29 +803,17 @@ def check_partial_density_sum(spec: FamilySpec, N: int) -> float:
     return sum((prefix[np.searchsorted(parr, ts, "right")] / members).tolist())
 
 
-def _ssf_identity(x: int, y: Fraction | int, beta: Fraction | int):
-    """The mask of F_beta(n) <= n y^beta over n = 0..x, and the a = 1/beta chain family."""
+def check_ssf_identity_range(x_max: int, y: Fraction | int, beta: Fraction | int) -> bool:
+    """Per-n form of |{n <= x : F_beta(n)/n <= y^beta}| = B_{1/beta}(x, y):
+    F_beta(n) <= n y^beta iff n is a member of the a = 1/beta chain family,
+    for every n <= x_max.  Implies the counting identity at every x <= x_max."""
     y, beta = Fraction(y), Fraction(beta)
     if y < 2:
         raise DomainError("y must be >= 2")
     pb, qb = beta.numerator, beta.denominator
     # F_beta(n) <= n y^beta  <=>  key * y_den^pb <= n^qb * y_num^pb
-    ok = _ssf_within(x, beta, y.numerator**pb, y.denominator**pb, qb)
-    return ok, FamilySpec("bpower", y, a=1 / beta)
-
-
-def check_ssf_identity(x: int, y: Fraction | int, beta: Fraction | int) -> bool:
-    """Exact check of |{n <= x : F_beta(n)/n <= y^beta}| = B_{1/beta}(x, y)."""
-    ok, spec = _ssf_identity(x, y, beta)
-    return int(np.count_nonzero(ok)) == count_members(spec, x)
-
-
-def check_ssf_identity_range(x_max: int, y: Fraction | int, beta: Fraction | int) -> bool:
-    """Per-n form of the identity: F_beta(n) <= n y^beta iff n is a member of
-    the a = 1/beta chain family, for every n <= x_max.  Implies the counting
-    identity at every x <= x_max."""
-    ok, spec = _ssf_identity(x_max, y, beta)
-    return bool(np.array_equal(ok, member_mask(spec, x_max)))
+    ok = _ssf_within(x_max, beta, y.numerator**pb, y.denominator**pb, qb)
+    return bool(np.array_equal(ok, member_mask(FamilySpec("bpower", y, a=1 / beta), x_max)))
 
 
 def theta2_of(m: int, y: Fraction) -> Fraction:
@@ -893,15 +824,6 @@ def theta2_of(m: int, y: Fraction) -> Fraction:
     divs = _level1_divisors(factorize(m), y)
     k = bisect_right(divs, math.isqrt(m))  # divs[0] = 1 <= isqrt(m) < divs[k]
     return y * max(divs[k - 1], m // divs[k] if k < len(divs) else 1)
-
-
-def check_theta2(n: int | FactoredInteger, y: Fraction | int) -> bool:
-    """Dense(2) membership by definition (the oracle) equals the chain test
-    with theta(m) = y * max_{d | m, d in Dense(1)} min(m/d, d)."""
-    y = Fraction(y)
-    f = n if isinstance(n, FactoredInteger) else factorize(n)
-    spec = FamilySpec("dense", y, i=2)
-    return is_member(f, spec) == _chain_member(spec, f)
 
 
 def check_factorization_lemma(

@@ -417,7 +417,11 @@ def g_eval_integral(a: Fraction | float, s: complex | float) -> complex:
 
     Uses omega - e^{-gamma} on [1, U] with a superexponentially small tail;
     panels are refined in proportion to |Im s| so the oscillatory factor
-    (1+a u)^{-s-1} is resolved.  Absolute accuracy ~1e-9 * (1 + |s|).
+    (1+a u)^{-s-1} is resolved.  Checked against the series route only at
+    a = 1 with Re s in [-3.6, 0], the rectangles the CLI's zero counts read,
+    where it agrees to ~1e-9 * (1 + |s|).  Elsewhere it may be wrong in every digit:
+    at a = 1, s = -20.5 it reads 4.54e7 where g = -1.52e7, and at a = 1/10,
+    s = -40.5 it reads 0.611 where g = 0.0078.
     """
     return complex(g_eval_integral_many(a, np.array([complex(s)]))[0])
 
@@ -754,8 +758,9 @@ def lambda_asymptote_report(a_list) -> list[dict]:
     """Compare lambda_a against the two asymptotic regimes.
 
     For a >= 1 extracts r_a = a^2 lambda_a e^gamma - a - e^{-gamma} log(a+1)
-    (bounded by 2/3); for a < 1 reports a*lambda_a - (log(1/a) - 1), which
-    tends to 0 only slowly and is reported, not asserted.
+    and whether it is within the bound 2/3 (r_a_ok); for a < 1 reports
+    a*lambda_a - (log(1/a) - 1), which tends to 0 only slowly.  The caller
+    judges both (`verify --suite paper`).
     """
     out = []
     for a in a_list:
@@ -767,12 +772,7 @@ def lambda_asymptote_report(a_list) -> list[dict]:
             r_a = af**2 * cert.lam * math.exp(EULER_GAMMA) - af - EXP_NEG_GAMMA * math.log(af + 1)
             row["r_a"] = r_a
             row["r_a_ok"] = abs(r_a) <= 2.0 / 3.0
-            if not row["r_a_ok"]:
-                raise NumericalConsistencyError(
-                    f"|r_a| = {abs(r_a)} exceeds 2/3 for a = {a}"
-                )
         else:
-            # o(1) convergence is slow: the gap is reported, never asserted
             row["small_a_gap"] = af * cert.lam - (math.log(1.0 / af) - 1.0)
         out.append(row)
     return out

@@ -1,14 +1,14 @@
 """Scalar special functions.
 
-Buchstab's omega (delay equation solver with dense output), the exponential
-integral J, the exact rational coefficients b_k of exp(-I(-u)), gamma for
-complex arguments, the incomplete gammas, and the Airy-type oscillatory
-integral K(nu) with two independent evaluation paths.
+Buchstab's omega (delay equation solver with dense output) and its
+derivative, the exact rational coefficients b_k of exp(-I(-u)), gamma for
+complex arguments, the lower incomplete gamma, and the Airy-type oscillatory
+integral K(nu) by direct quadrature, with its zeros in closed form.
 
-The incomplete gammas have one power series and one continued fraction.
-upper_incomplete_gamma and the float series route of g_a run both on
-complex128; the adaptive-precision route of g_a runs the power series alone
-on mpmath numbers, passing its tolerance, exp and log.
+The lower incomplete gamma has one power series and one continued fraction.
+The float series route of g_a runs both on complex128; the
+adaptive-precision route runs the power series alone on mpmath numbers,
+passing its tolerance, exp and log.
 """
 
 from __future__ import annotations
@@ -189,18 +189,6 @@ def buchstab_omega_prime(u) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exponential integral J
-# ---------------------------------------------------------------------------
-
-
-def exp_integral_J(u: float) -> float:
-    """J(u) = integral of e^{-t}/t over [u, inf), u > 0."""
-    if u <= 0:
-        raise DomainError("J(u) requires u > 0")
-    return float(_special().exp1(u))
-
-
-# ---------------------------------------------------------------------------
 # Rational series b_k with exp(-I(-u)) = sum b_k u^k
 # ---------------------------------------------------------------------------
 
@@ -234,7 +222,7 @@ def b_coefficients(K: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gamma and upper incomplete gamma for complex argument
+# Gamma and the lower incomplete gamma for complex argument
 # ---------------------------------------------------------------------------
 
 
@@ -294,52 +282,19 @@ def _lower_gamma(A, z):
     return gamma_complex(A) - _upper_cf(A, z)
 
 
-def upper_incomplete_gamma(s: complex, z: float) -> complex:
-    """Gamma(s, z) = integral of t^{s-1} e^{-t} over [z, inf), z > 0 real.
-
-    Entire in s. Series/continued-fraction split; relative accuracy ~1e-12
-    on |Re s| <= 60, |Im s| <= 60, 0 < z <= 20 (verified against quadrature).
-    """
-    s = complex(s)
-    z = float(z)
-    if z <= 0:
-        raise DomainError("upper_incomplete_gamma requires z > 0")
-    sr = s.real
-    if z >= sr + 1.0:
-        return _upper_cf(s, z)
-    if sr > 0.5:
-        return gamma_complex(s) - _lower_series(s, z)
-    # z < Re(s)+1 and Re(s) <= 0.5 means z < 1.5: lift into Re > 0, step down.
-    m = int(math.ceil(1.0 - sr))
-    A = s + m
-    val = gamma_complex(A) - _lower_series(A, z)
-    for _ in range(m):
-        A -= 1
-        val = (val - cmath.exp(A * math.log(z) - z)) / A
-    return val
-
-
 # ---------------------------------------------------------------------------
-# K(nu): oscillatory integral and its Airy form
+# K(nu): oscillatory integral and its zeros
 # ---------------------------------------------------------------------------
 
 _GLX10, _GLW10 = np.polynomial.legendre.leggauss(10)
-
-
-def k_airy(nu: float) -> float:
-    """K(nu) via the Airy identity: 2*pi*(2/(3 nu))^{1/3} Ai(-(3 nu/2)^{2/3})."""
-    if nu <= 0:
-        raise DomainError("K(nu) requires nu > 0")
-    zz = -((1.5 * nu) ** (2.0 / 3.0))
-    ai = _special().airy(zz)[0]
-    return float(2.0 * math.pi * (2.0 / (3.0 * nu)) ** (1.0 / 3.0) * ai)
 
 
 def k_oscillatory(nu: float) -> float:
     """K(nu) by direct quadrature of 2*int_0^inf cos(nu (u^3-3u)/2) du.
 
     Phase-adaptive Gauss panels on [0, A] plus a three-term integration-by-
-    parts tail; agrees with the Airy path to ~1e-10 for nu in [0.5, 15].
+    parts tail; agrees with the Airy form (see k_zeros) to ~1e-10 for nu in
+    [0.5, 15].
     """
     if nu <= 0:
         raise DomainError("K(nu) requires nu > 0")

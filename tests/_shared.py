@@ -1,13 +1,16 @@
 """Heavy fixtures shared between the unit suites and the acceptance suite."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from densediv.families import membership_tables
-from densediv.specfun import _OMEGA_UMAX, OMEGA_STEP, _hermite, _omega_23
+from densediv.errors import DomainError
+from densediv.families import FamilySpec, _chain_member, _ssf_within, is_member, membership_tables
+from densediv.integers import FactoredInteger, divisors, factorize
+from densediv.specfun import _OMEGA_UMAX, OMEGA_STEP, _hermite, _omega_23, _special
 
 
 def within_one_ulp(value: float, printed: str) -> bool:
@@ -31,6 +34,68 @@ def entire_I(x: float) -> float:
         if abs(contrib) < 1e-18 * max(1.0, abs(total)):
             break
     return total
+
+
+def k_airy(nu: float) -> float:
+    """K(nu) via the Airy identity: 2*pi*(2/(3 nu))^{1/3} Ai(-(3 nu/2)^{2/3}),
+    the route k_oscillatory's quadrature is checked against."""
+    if nu <= 0:
+        raise DomainError("K(nu) requires nu > 0")
+    zz = -((1.5 * nu) ** (2.0 / 3.0))
+    ai = _special().airy(zz)[0]
+    return float(2.0 * math.pi * (2.0 / (3.0 * nu)) ** (1.0 / 3.0) * ai)
+
+
+@dataclass(frozen=True)
+class SSFValue:
+    """F_beta(n): the maximizing divisor and the exact comparison key.
+
+    For beta = pb/qb the key is d**qb * P^-(d)**pb; keys compare exactly like
+    the real values d * P^-(d)**beta (same qb).
+    """
+
+    d: int
+    key: int
+    beta: Fraction
+
+
+def schinzel_szekeres(n: int | FactoredInteger, beta: Fraction | int) -> SSFValue:
+    """F_beta(n) = max over divisors d > 1 of d * (P^-(d))^beta; F_beta(1) = 1.
+    The per-n reference for the bulk masks of families._ssf_within."""
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise DomainError("beta must be > 0")
+    pb, qb = beta.numerator, beta.denominator
+    f = n if isinstance(n, FactoredInteger) else factorize(n)
+    keys = (
+        (d, d**qb * next(q for q, _ in f.factors if d % q == 0) ** pb) for d in divisors(f)[1:]
+    )
+    best_d, best_key = max(keys, key=lambda dk: dk[1], default=(1, 1))
+    return SSFValue(d=best_d, key=best_key, beta=beta)
+
+
+def a_beta_mask(x: int, y: Fraction, beta: Fraction) -> np.ndarray:
+    """F_beta(n) <= x y over n = 0..x: the set A_beta counts."""
+    qb = Fraction(beta).denominator
+    bound = x * Fraction(y)
+    # d p^beta <= B  <=>  d^qb p^pb B_den^qb <= B_num^qb
+    return _ssf_within(x, beta, bound.numerator**qb, bound.denominator**qb, 0)
+
+
+def ssf_identity_mask(x: int, y: Fraction, beta: Fraction) -> np.ndarray:
+    """F_beta(n) <= n y^beta over n = 0..x, the mask check_ssf_identity_range reads."""
+    y, beta = Fraction(y), Fraction(beta)
+    pb, qb = beta.numerator, beta.denominator
+    return _ssf_within(x, beta, y.numerator**pb, y.denominator**pb, qb)
+
+
+def check_theta2(n: int | FactoredInteger, y: Fraction | int) -> bool:
+    """Dense(2) membership by definition (the oracle) equals the chain test
+    with theta(m) = y * max_{d | m, d in Dense(1)} min(m/d, d)."""
+    y = Fraction(y)
+    f = n if isinstance(n, FactoredInteger) else factorize(n)
+    spec = FamilySpec("dense", y, i=2)
+    return is_member(f, spec) == _chain_member(spec, f)
 
 
 @lru_cache(maxsize=8)

@@ -15,7 +15,6 @@ from densediv.families import (
     FamilySpec,
     check_phi_identity_range,
     check_ssf_identity_range,
-    check_theta2,
     count_members,
     enumerate_members,
     is_member,
@@ -33,7 +32,7 @@ from densediv.reference import C_TABLE, LAMBDA_TABLE, truncate_matches
 from densediv.rho import cached_rho_table, rho_closed_form_12
 from densediv.specfun import k_oscillatory, k_zeros
 
-from _shared import tables_at, within_one_ulp
+from _shared import check_theta2, tables_at, within_one_ulp
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -2,7 +2,7 @@
 and the Dense/StrongDense counts against tests/golden/count_grid.json.
 
 The digests pin every membership_tables level and the Schinzel-Szekeres
-masks behind count_A_beta and check_ssf_identity, so a change to how the
+masks of A_beta and of check_ssf_identity_range, so a change to how the
 level-1 divisor pairs or the prime steps are built or scanned cannot change
 a single byte unnoticed.
 The grid pins count_members at x = 2e5 over y, i, kind and squarefree.
@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from densediv import families
+
+from _shared import a_beta_mask, ssf_identity_mask
 
 GOLDEN = Path(__file__).parent / "golden" / "bulk_digests.json"
 GRID = Path(__file__).parent / "golden" / "count_grid.json"
@@ -43,10 +45,8 @@ def table_digests(N: int, y: Fraction, imax: int) -> dict:
 
 
 def ssf_digests(x: int, y: Fraction, beta: Fraction) -> dict:
-    qb = beta.denominator
-    bound = x * y  # the count_A_beta mask: F_beta(n) <= x y
-    a_mask = families._ssf_within(x, beta, bound.numerator**qb, bound.denominator**qb, 0)
-    id_mask = families._ssf_identity(x, y, beta)[0]  # F_beta(n) <= n y^beta
+    a_mask = a_beta_mask(x, y, beta)  # F_beta(n) <= x y
+    id_mask = ssf_identity_mask(x, y, beta)  # F_beta(n) <= n y^beta
     return {"count_A_beta": _sha(np.asarray(a_mask, dtype=bool).tobytes()),
             "ssf_identity": _sha(np.asarray(id_mask, dtype=bool).tobytes())}
 

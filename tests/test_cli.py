@@ -60,6 +60,34 @@ class TestEnumerate:
         assert r1.output == r2.output
 
 
+class TestEnumerateOutput:
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_slices_keep_the_bytes(self, runner, monkeypatch, fmt):
+        # seams every 7 members give the bytes of one join over the whole list
+        from densediv import cli as cli_mod
+        from densediv.families import FamilySpec, enumerate_members
+
+        members = enumerate_members(FamilySpec("dense", 2, i=2), 200)
+        expect = {"plain": " ".join(map(str, members)) + "\n",
+                  "csv": "n\n" + "".join(f"{m}\n" for m in members),
+                  "json": json.dumps({"schema": 1, "columns": ["n"], "rows": [[m] for m in members]}) + "\n"}
+        monkeypatch.setattr(cli_mod, "_SLICE", 7)
+        r = runner.invoke(main, ["enumerate", "--family", "dense", "--i", "2", "--y", "2", "--x", "200",
+                                 "--format", fmt])
+        assert r.exit_code == 0
+        assert len(members) > 3 * 7 and r.output == expect[fmt]
+
+    def test_member_budget_exit_code(self, runner):
+        # 59,244,184 members at 56 bytes each are past the 1 GiB budget: the walk
+        # refuses once its list passes it, before anything is written
+        t0 = time.monotonic()
+        r = runner.invoke(main, ["enumerate", "--family", "smooth", "--y", "1000", "--x", "1000000000"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("resource limit: ")
+        assert time.monotonic() - t0 < 5.0
+
+
 class TestCount:
     def test_smooth_one(self, runner):
         r = runner.invoke(main, ["count", "--family", "smooth", "--y", "2", "--x", "1"])
@@ -462,6 +490,41 @@ class TestVerifyAndDeterminism:
         r = runner.invoke(main, args.split())
         assert r.exit_code == 0
         assert r.stdout == (GOLDEN_DIR / golden).read_text()
+
+    def test_golden_paper_stdout(self, runner):
+        r = runner.invoke(main, ["verify", "--suite", "paper"])
+        assert r.exit_code == 0
+        assert r.output == (GOLDEN_DIR / "verify_paper.json").read_text()
+
+    def test_paper_suite_reports_a_broken_statement(self, runner, monkeypatch):
+        from densediv import gzero
+
+        monkeypatch.setattr(gzero, "dgda_identity_check", lambda a, s: 1e-3)
+        r = runner.invoke(main, ["verify", "--suite", "paper"])
+        assert r.exit_code == 4
+        doc = json.loads(r.output)
+        failed = [res for res in doc["results"] if not res["passed"]]
+        assert [res["name"] for res in failed] == ["dg/da identity a=1 s=1.0", "dg/da identity a=1/2 s=(-2+3j)"]
+        assert failed[0]["detail"] == "residual=1.0e-03 (bound 1e-06)"
+        assert doc["passed"] is False and doc["counts"] == {"total": 9, "failed": 2}
+
+    def test_paper_suite_judges_the_lambda_regime(self, runner, monkeypatch):
+        # lambda_1 read as 2 puts r_1 = 2 e^gamma - 1 - e^-gamma log 2 = 2.17 past
+        # 2/3: the report returns the row, and the suite fails it
+        import dataclasses
+
+        from densediv import gzero
+
+        find = gzero.find_lambda
+        monkeypatch.setattr(gzero, "find_lambda",
+                            lambda a: dataclasses.replace(find(a), lam=2.0) if a == 1 else find(a))
+        r = runner.invoke(main, ["verify", "--suite", "paper"])
+        assert r.exit_code == 4
+        doc = json.loads(r.output)
+        row = next(res for res in doc["results"] if res["name"] == "lambda_a regime a=1")
+        assert row == {"name": "lambda_a regime a=1", "passed": False,
+                       "detail": "r_a=2.1730 (bound |r_a|<=2/3)"}
+        assert '"passed": false' in r.output
 
     def test_verification_failure_exit_code(self, runner, monkeypatch):
         from densediv import cli as cli_mod

@@ -14,17 +14,15 @@ from densediv.families import (
     FamilyOracle,
     _iter_tree,
     FamilySpec,
-    count_A_beta,
+    _squarefree_mask,
     count_family,
     count_members,
     enumerate_members,
     is_member,
-    phi_count,
-    schinzel_szekeres,
 )
 from densediv.integers import factorize
 
-from _shared import DefinitionReference, tables_at
+from _shared import DefinitionReference, a_beta_mask, schinzel_szekeres, ssf_identity_mask, tables_at
 
 Y2 = Fraction(2)
 
@@ -311,6 +309,41 @@ def test_bulk_route_peak_within_its_charge(route, run, levels, held):
     finally:
         tracemalloc.stop()
     assert peak <= families._charge(route, N, levels, held * N), peak / N
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("spec", [FamilySpec("smooth", Fraction(1000)), FamilySpec("dense", _TREE_WORST, i=3)],
+                         ids=["chain", "level"])
+def test_member_list_peak_within_its_charge(monkeypatch, spec, fmt):
+    # enumerate from the listing on: the walk's batches or the level's mask, the
+    # member list, and the CLI writing it slice by slice; the level's own route
+    # is charged, and measured, apart (member_mask's charge, above)
+    import os
+    import sys
+    import tracemalloc
+
+    from densediv import cli
+
+    N = 2 * 10**5
+    mask_of = families.member_mask
+
+    def mask_then_reset_peak(*args):
+        mask = mask_of(*args)
+        tracemalloc.reset_peak()
+        return mask
+
+    monkeypatch.setattr(families, "member_mask", mask_then_reset_peak)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli.enumerate_cmd.callback(spec.kind, spec.y, spec.i, None, False, N, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    held = count_members(spec, N)
+    assert held > N // 3
+    assert peak <= families._charge("list", N, spec.kind == "dense", held), peak / held
 
 
 def test_bulk_budget(monkeypatch):
@@ -756,12 +789,15 @@ class TestEnumerationConsistency:
         monkeypatch.setattr(families, "_NODE_BUDGET", pushed - 1)
         with pytest.raises(ResourceLimitError):
             _iter_tree(spec, x, collect=False)
-        # collect still bounds the members above 1 it gathers
-        monkeypatch.setattr(families, "_NODE_BUDGET", count - 1)
+        # a walk that lists its members charges them as it goes, 1 included
+        monkeypatch.setattr(families, "_NODE_BUDGET", pushed)
+        budget, need = families._BULK_BUDGET, families._charge("list", x, 0, count)
+        monkeypatch.setattr(families, "_BULK_BUDGET", need)
         assert len(_iter_tree(spec, x, collect=True)[1]) == count
-        monkeypatch.setattr(families, "_NODE_BUDGET", count - 2)
+        monkeypatch.setattr(families, "_BULK_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError):
             _iter_tree(spec, x, collect=True)
+        monkeypatch.setattr(families, "_BULK_BUDGET", budget)
         monkeypatch.setattr(families, "_NODE_BUDGET", 5)
         with pytest.raises(ResourceLimitError):
             _iter_tree(FamilySpec("dense", Y2, i=2), x, collect=True)
@@ -873,26 +909,30 @@ class TestSchinzelSzekeres:
                     assert d**2 * p**3 <= v.key
 
 
+def _a_beta(x, y, beta, squarefree=False) -> int:
+    """|{n <= x : F_beta(n) <= x y}| (mu^2(n) = 1 too if squarefree), from the bulk mask."""
+    ok = a_beta_mask(x, y, beta)
+    return int(np.count_nonzero(ok & _squarefree_mask(x) if squarefree else ok))
+
+
 class TestABeta:
     def test_trivial(self):
-        assert count_A_beta(1, Fraction(1), Fraction(1)) == 1
+        assert _a_beta(1, Fraction(1), Fraction(1)) == 1
 
     def test_brute_force_oracle(self):
         # A_1(10, 1): F_1(n) <= 10 holds exactly for n in {1, 2, 3, 4}
-        assert count_A_beta(10, Fraction(1), Fraction(1)) == 4
+        assert _a_beta(10, Fraction(1), Fraction(1)) == 4
         expected = 0
         x, y = 60, Fraction(2)
         for n in range(1, x + 1):
             v = schinzel_szekeres(n, Fraction(1))
             if v.key <= x * y:
                 expected += 1
-        assert count_A_beta(x, y, Fraction(1)) == expected
+        assert _a_beta(x, y, Fraction(1)) == expected
 
     def test_squarefree_subset(self):
         for x in (30, 200):
-            assert count_A_beta(x, Y2, Fraction(1), squarefree=True) <= count_A_beta(
-                x, Y2, Fraction(1)
-            )
+            assert _a_beta(x, Y2, Fraction(1), squarefree=True) <= _a_beta(x, Y2, Fraction(1))
 
     @given(
         st.integers(1, 7),
@@ -911,18 +951,19 @@ class TestABeta:
 
 
 def _a_beta_matches_single_n_route(x, y, beta):
-    """count_A_beta, plain and squarefree, and the mask of F_beta(n) <= n y^beta
-    behind the identity checks, against schinzel_szekeres at every n <= x."""
+    """The A_beta mask (F_beta(n) <= x y), counted plain and squarefree, and the
+    mask of F_beta(n) <= n y^beta behind the identity check, against
+    schinzel_szekeres at every n <= x."""
     bound = x * y
     pb, qb = beta.numerator, beta.denominator
     keys = [schinzel_szekeres(n, beta).key for n in range(1, x + 1)]
     inside = [n for n, key in zip(range(1, x + 1), keys)
               if key * bound.denominator**qb <= bound.numerator**qb]
-    assert count_A_beta(x, y, beta) == len(inside)
+    assert _a_beta(x, y, beta) == len(inside)
     sf = sum(1 for n in inside if factorize(n).is_squarefree)
-    assert count_A_beta(x, y, beta, squarefree=True) == sf
+    assert _a_beta(x, y, beta, squarefree=True) == sf
     y = max(y, 2)  # the identity needs y >= 2
-    ok, _ = families._ssf_identity(x, y, beta)
+    ok = ssf_identity_mask(x, y, beta)
     assert ok.tolist() == [False] + [key * y.denominator**pb <= n**qb * y.numerator**pb
                                      for n, key in zip(range(1, x + 1), keys)]
 
@@ -939,20 +980,3 @@ class TestSquarefreeThreshold:
         c4 = count_members(spec3, 10_000)
         c5 = count_members(spec3, 100_000)
         assert c5 > c4 > 10
-
-
-class TestPhiCount:
-    def test_reference_values(self):
-        # brute-force oracle over {1,3,5,7,9}: five integers <= 10 coprime to 2
-        assert phi_count(10, 2) == 5
-        assert phi_count(0.5, 2) == 0
-        assert phi_count(10, 2, squarefree=True) == 4  # drops 9
-
-    def test_matches_direct_scan(self):
-        for x, y in ((100, 3), (999, 7), (5000, 2)):
-            expect = 1 + sum(
-                1
-                for n in range(2, x + 1)
-                if factorize(n).factors[0][0] > y
-            )
-            assert phi_count(x, y) == expect

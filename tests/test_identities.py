@@ -1,35 +1,35 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from densediv.errors import DomainError
 from densediv.families import (
     FamilySpec,
+    _ssf_within,
     check_factorization_lemma,
     check_partial_density_sum,
-    check_phi_identity,
     check_phi_identity_range,
-    check_ssf_identity,
     check_ssf_identity_range,
-    check_theta2,
-    count_A_beta,
+    count_members,
     enumerate_members,
-    is_member,
-    schinzel_szekeres,
 )
 from densediv.integers import factorize
 
+from _shared import check_theta2, schinzel_szekeres, ssf_identity_mask
+
 
 class TestPhiIdentity:
+    # the identity at one x is the range form's sum up to x
     def test_x_100(self):
-        assert check_phi_identity(100, FamilySpec("bpower", Fraction(2), a=Fraction(1)))
+        assert check_phi_identity_range(100, FamilySpec("bpower", Fraction(2), a=Fraction(1)))
 
     def test_x_1(self):
-        assert check_phi_identity(1, FamilySpec("bpower", Fraction(2), a=Fraction(1)))
+        assert check_phi_identity_range(1, FamilySpec("bpower", Fraction(2), a=Fraction(1)))
 
     def test_squarefree_sqrt(self):
         spec = FamilySpec("bpower", Fraction(3), a=Fraction(1, 2), squarefree=True)
-        assert check_phi_identity(10_000, spec)
+        assert check_phi_identity_range(10_000, spec)
 
     def test_range_small(self):
         assert check_phi_identity_range(2000, FamilySpec("bpower", Fraction(2), a=Fraction(1)))
@@ -39,7 +39,8 @@ class TestPhiIdentity:
 
     def test_y_below_2_rejected(self):
         with pytest.raises(DomainError):
-            check_phi_identity(10, FamilySpec("bpower", Fraction(3, 2), a=Fraction(1)))
+            spec = FamilySpec("bpower", Fraction(19, 10), a=Fraction(1, 2), squarefree=True)
+            check_phi_identity_range(10, spec)
 
     def test_range_y_below_2_rejected(self):
         with pytest.raises(DomainError):
@@ -73,9 +74,13 @@ class TestDensitySum:
 
 class TestSSFIdentity:
     def test_examples(self):
-        assert check_ssf_identity(1, Fraction(2), Fraction(1))
-        assert check_ssf_identity(1000, Fraction(2), Fraction(1))
-        assert check_ssf_identity(1000, Fraction(3), Fraction(2))
+        # the per-n form, and the count it implies:
+        # |{n <= x : F_beta(n)/n <= y^beta}| = B_{1/beta}(x, y)
+        for x, y, beta in ((1, Fraction(2), Fraction(1)), (1000, Fraction(2), Fraction(1)),
+                           (1000, Fraction(3), Fraction(2))):
+            assert check_ssf_identity_range(x, y, beta)
+            count = count_members(FamilySpec("bpower", y, a=1 / beta), x)
+            assert np.count_nonzero(ssf_identity_mask(x, y, beta)) == count
 
     def test_range_products_past_int64(self):
         assert check_ssf_identity_range(600, Fraction(10**17 + 3, 3 * 10**16), Fraction(7, 3))
@@ -88,9 +93,7 @@ class TestSSFIdentity:
     def test_beta_not_positive_rejected(self, beta):
         calls = [
             lambda: schinzel_szekeres(10, beta),
-            lambda: count_A_beta(10, Fraction(2), beta),
-            lambda: count_A_beta(10, Fraction(2), beta, squarefree=True),
-            lambda: check_ssf_identity(10, Fraction(2), beta),
+            lambda: _ssf_within(10, beta, 20, 1, 0),
             lambda: check_ssf_identity_range(10, Fraction(2), beta),
         ]
         for call in calls:

@@ -1,13 +1,14 @@
-"""A ratchet on the package's options: defaulted parameters and defaulted
-dataclass fields under src/densediv.  A new option has to raise the bound
-here on purpose; removing one should lower it."""
+"""Two ratchets on the package.  Options: defaulted parameters and defaulted
+dataclass fields under src/densediv; a new option has to raise the bound here
+on purpose, and removing one should lower it.  Reach: every top-level function
+and class under src/densediv is reached from a CLI command."""
 
 import ast
 from pathlib import Path
 
 import densediv
 
-KNOB_BOUND = 12
+KNOB_BOUND = 10
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -49,3 +50,69 @@ def test_defaulted_parameters_and_fields_at_most_the_bound():
     pkg = Path(densediv.__file__).parent
     counts = {p.name: count_knobs(p.read_text()) for p in sorted(pkg.glob("*.py"))}
     assert sum(counts.values()) <= KNOB_BOUND, counts
+
+
+def _global_refs(node: ast.AST) -> set[str]:
+    """The names node reads (Name loads and attribute names), less, in a
+    function, its parameters and the names it assigns."""
+    read, local = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            (local if isinstance(sub.ctx, ast.Store) else read).add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.arg):
+            local.add(sub.arg)
+    return read - local if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else read
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes, as module.name, that no click
+    command reaches through the names read by the definitions and module-level
+    assignments it reaches.  Names are matched across modules, so a name
+    defined twice is reached in both places."""
+    defs, reads, roots = {}, {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node.name
+                reads.setdefault(node.name, set()).update(_global_refs(node))
+                for dec in node.decorator_list:  # @main.command(...), @click.group()
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+                        roots.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            reads.setdefault(name.id, set()).update(_global_refs(node.value))
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(reads.get(name, ()))
+    return sorted(qual for qual, name in defs.items() if name not in seen)
+
+
+def test_unreached_names_dead_definitions():
+    src = (
+        "import click\n"
+        "@click.group()\n"
+        "def main(): pass\n"
+        "@main.command()\n"
+        "def run(): helper(); OPTS\n"
+        "OPTS = [Param()]\n"
+        "class Param: pass\n"
+        "def helper(divisors): return divisors\n"
+        "def divisors(): pass\n"
+        "def only_tests(): helper()\n"
+    )
+    assert unreached({"m": src}) == ["m.divisors", "m.only_tests"]
+
+
+def test_every_definition_reached_from_a_command():
+    # __init__ only re-exports: a name there is not reached by a command
+    pkg = Path(densediv.__file__).parent
+    sources = {p.stem: p.read_text() for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"}
+    assert unreached(sources) == []
