@@ -46,9 +46,9 @@ from .specfun import (
     b_coefficients,
     buchstab_omega,
     build_omega_table,
-    gamma_complex,
     k_oscillatory,
     k_zeros,
+    loggamma,
 )
 
 __version__ = "0.1.0"

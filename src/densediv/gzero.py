@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +39,7 @@ from .errors import (
     ResourceLimitError,
     SearchFailureError,
 )
-from .specfun import _lower_gamma, _lower_series, _special, b_coefficients, buchstab_omega, buchstab_omega_prime
+from .specfun import _lower_series, b_coefficients, buchstab_omega, buchstab_omega_prime, e1, loggamma
 
 _BMAX = 258  # b_k available up to this index; series cap K <= _BMAX
 
@@ -129,17 +130,15 @@ def _mp_gammalow_down(s, z, K: int, tol) -> list:
     gamma(A, z) = (gamma(A+1, z) + z^A e^-z) / A (DLMF 8.8.1).
 
     Downward is the stable direction: an error in gamma(A+1, z) reaches
-    gamma(A, z) divided by A, i.e. it is carried like the homogeneous solution
-    Gamma(A), and for real A > 0 the ratio gamma(A, z)/Gamma(A) grows as A
-    decreases, so the relative error shrinks (upward, it would be multiplied
-    by A at each step).  With K >= 1 - Re s, which g_eval_series checks, the
-    top index has Re A >= 1, where specfun's power series converges; it runs
-    in mpmath arithmetic.
+    gamma(A, z) divided by A, carried like the homogeneous solution Gamma(A),
+    and for real A > 0 gamma(A, z)/Gamma(A) grows as A decreases, so the
+    relative error shrinks.  With K >= 1 - Re s, which g_eval_series checks,
+    the top index has Re A >= 1, where specfun's power series converges.
     """
     A = s + K
-    gl = _lower_series(A, z, tol, mp.exp, mp.log)
-    out = [gl]
     zpow = mp.exp(A * mp.log(z) - z)  # z^A e^-z
+    gl = zpow * _lower_series(A, z, tol)
+    out = [gl]
     for k in range(K - 1, -1, -1):
         A = s + k
         zpow /= z
@@ -215,9 +214,7 @@ def _h2_eval(a: Fraction, s, dps: int):
 
 def _ln_bound_at_K0(a: float, s: complex) -> float:
     """ln of the truncation bound at K = 0."""
-    with mp.workdps(30):
-        lg = mp.loggamma(mp.mpc(s)) if s.imag else mp.loggamma(mp.mpf(s.real))
-        return math.log(4.0) - EULER_GAMMA - s.real * math.log(a) - float(mp.re(lg))
+    return math.log(4.0) - EULER_GAMMA - s.real * math.log(a) - loggamma(s).real
 
 
 def g_series_error_bound(a: Fraction | float, s: complex, K: int) -> float:
@@ -310,7 +307,7 @@ def _h2_float_nodes(a: Fraction):
     U = max(3.0, 1.0 + 42.0 * math.log(10.0) / z)
     edges = np.arange(1.0, math.ceil(U) + 1.0)
     u, w = _gl_float_nodes(edges[:-1], np.minimum(edges[1:], U), _GLX24, _GLW24)
-    return np.log(u), w * np.exp(-u * z + _special().exp1(u))
+    return np.log(u), w * np.exp(-u * z + e1(u))
 
 
 @lru_cache(maxsize=1)
@@ -319,45 +316,55 @@ def _b_float() -> tuple[float, ...]:
     return tuple(float(x) for x in b_coefficients(_BMAX))
 
 
+def _float_gammalow_down(s: complex, z: float, K: int) -> list[complex]:
+    """[H_k for k = 0..K] in complex128, gamma(s+k, z) = z^{s+k} e^-z H_k:
+    the power series at the top index, then _mp_gammalow_down's recurrence
+    over the prefactor, H_k = (z H_{k+1} + 1)/(s + k), with no exp per term."""
+    H = [_lower_series(s + K, z, 1e-17)]
+    for k in range(K - 1, -1, -1):
+        H.append((z * H[-1] + 1.0) / (s + k))
+    return H[::-1]
+
+
 def _g_series_float(a: Fraction, s: complex) -> tuple[complex, float]:
     """Series route in complex128; returns (value, noise estimate).
 
+    With z = 1/a, gamma(s+k, z) = z^{s+k} e^-z H_k (_float_gammalow_down) and
+    a z = 1, so g_a(s) = z^{s+1}/Gamma(s) (e^-gamma e^-z sum_k b_k H_k + h_2(s)).
+    The factor z^{s+1}/Gamma(s) is one exp of its log: far left z^s
+    underflows where 1/Gamma(s) is finite (a = 1/60, s = -170.5).  Where
+    1/Gamma(s) overflows (-Re log Gamma(s) > ln(max float), Re s < -171.6)
+    or the factor does, the value is NaN and the noise infinite.
+
     The noise is 1e-14 times the scale of the two summands of g_a (the largest
     h_1 term and |h_2|, each over |Gamma(s)|), against which the value
-    cancels.  Measured against the adaptive-precision route on the grid
-    Re s in [-64, 2], Im s in {0, 0.4, 3}, a in {1, 1/2, 1/10, 1/20, 1/25}, it
-    bounds the error only for |s| <= 14: the rounding of u^s, of the
-    incomplete gammas and of 1/Gamma(s) grows like |s| eps, and further left
-    the error exceeds the noise by up to 6.5x.  _g_exact_or_series
-    re-evaluates in high precision below 50x (find_lambda) and 1e4x
-    (residue_C's contour) the noise, and residue_C's complex-step derivative
-    falls back to high precision once its noise exceeds 1/100 of the
-    _RESIDUE_RTOL it is checked to; each margin covers that factor.  Where
-    the noise is comparable to the value the float value means nothing: at a = 1,
-    s = -31.863 it is 5e18 against a true -3e16.  Far left the value and
-    the noise can be NaN (a = 1/60, s = -204.4); both fallbacks take that
-    as a sample to re-evaluate.
+    cancels.  Against the adaptive-precision route on the grid Re s in
+    [-64, 2], Im s in {0, 0.4, 3}, a in {1, 1/2, 1/10, 1/20, 1/25}, the
+    error is at most 0.34 times the noise for |s| <= 14 and 2.8 times it
+    further left, where the rounding of u^s and log Gamma(s) grows like
+    |s| eps.  _g_exact_or_series re-evaluates in high precision below 50x
+    (find_lambda) and 1e4x (residue_C's contour) the noise, and residue_C's
+    complex-step derivative once its noise exceeds 1/100 of _RESIDUE_RTOL;
+    each margin covers that factor, and both take a NaN as a sample to
+    re-evaluate.  Where the noise is comparable to the value the value means
+    nothing: at a = 1, s = -31.863 it is 5e18 against a true -3e16.
     """
     sc = complex(s)
-    af = float(a)
-    z = 1.0 / af
-    la = math.log(af)
+    z = 1.0 / float(a)
+    lg = loggamma(sc)
+    ln_scale = (sc + 1) * math.log(z) - lg  # log of z^{s+1}/Gamma(s)
+    if max(-lg.real, ln_scale.real) > math.log(sys.float_info.max):
+        return complex(math.nan, math.nan), math.inf
     K = _default_K(a, sc, target=1e-17)
-    bf = _b_float()
-    tot = 0j
-    maxterm = 0.0
-    for k in range(K + 1):
-        t = cmath.exp(k * la) * bf[k] * _lower_gamma(sc + k, z)
-        tot += t
-        at = abs(t)
-        if at > maxterm:
-            maxterm = at
+    terms = [bk * hk for bk, hk in zip(_b_float(), _float_gammalow_down(sc, z, K))]
+    tot = sum(reversed(terms))
+    maxterm = max(map(abs, terms))
     lnu, W = _h2_float_nodes(a)
     h2 = complex(np.sum(np.exp(sc * lnu) * W))
-    invgam = complex(_special().rgamma(sc))
-    h2_scale = abs(h2) * math.exp(-(sc.real + 1) * la)
-    val = EXP_NEG_GAMMA / af * tot * invgam + h2 * cmath.exp(-(sc + 1) * la) * invgam
-    noise = 1e-14 * (maxterm * EXP_NEG_GAMMA / af + h2_scale) * abs(invgam)
+    scale = cmath.exp(ln_scale)
+    ez = EXP_NEG_GAMMA * math.exp(-z)
+    val = scale * (ez * tot + h2)
+    noise = 1e-14 * abs(scale) * (ez * maxterm + abs(h2))
     return val, noise
 
 

@@ -1,14 +1,11 @@
 """Scalar special functions.
 
 Buchstab's omega (delay equation solver with dense output) and its
-derivative, the exact rational coefficients b_k of exp(-I(-u)), gamma for
-complex arguments, the lower incomplete gamma, and the Airy-type oscillatory
-integral K(nu) by direct quadrature, with its zeros in closed form.
-
-The lower incomplete gamma has one power series and one continued fraction.
-The float series route of g_a runs both on complex128; the
-adaptive-precision route runs the power series alone on mpmath numbers,
-passing its tolerance, exp and log.
+derivative, the exact rational coefficients b_k of exp(-I(-u)), log Gamma
+for complex arguments and E1 in floats, the lower incomplete gamma's power
+series (both series routes of g_a sum it at their top index, on complex128
+or mpmath numbers), and the Airy-type oscillatory integral K(nu) by direct
+quadrature, with its zeros in closed form.
 """
 
 from __future__ import annotations
@@ -24,15 +21,6 @@ import numpy as np
 
 from ._constants import EXP_NEG_GAMMA
 from .errors import DomainError
-
-
-@lru_cache(maxsize=1)
-def _special():
-    """scipy.special, imported on first use: the import costs a fresh process
-    ~0.25 s and ~24 MB, and membership, counts and the rho tables never need it."""
-    import scipy.special
-
-    return scipy.special
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def buchstab_omega_prime(u) -> float | np.ndarray:
     """|omega'| building block: omega'(u), exact on [1,3], DE-based beyond.
 
     For u above the table range returns the lemma envelope 1/Gamma(u+1),
-    which upper-bounds |omega'| there.
+    which upper-bounds |omega'| there, as exp(-lgamma(u+1)).
     """
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 1.0):
@@ -182,7 +170,7 @@ def buchstab_omega_prime(u) -> float | np.ndarray:
         out[m3] = (buchstab_omega(t - 1.0) - buchstab_omega(t)) / t
     t = arr[m4]
     if t.size:
-        out[m4] = 1.0 / _special().gamma(t + 1.0)
+        out[m4] = np.exp([-math.lgamma(x) for x in (t + 1.0).tolist()])
     if np.isscalar(u) or arr.ndim == 0:
         return float(out)
     return out
@@ -222,64 +210,67 @@ def b_coefficients(K: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gamma and the lower incomplete gamma for complex argument
+# log Gamma and E1 in floats, and the lower incomplete gamma's power series
 # ---------------------------------------------------------------------------
 
+# B_2k / (2k (2k - 1)), k = 1..8: Stirling's series, next term below 1e-16 for |s| >= 8
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_E1_DEPTH = 100  # the continued fraction's depth in e1
 
-def gamma_complex(s: complex) -> complex:
-    """Gamma(s) for complex s; raises at the poles."""
+
+def loggamma(s: complex) -> complex:
+    """log Gamma(s) for complex s, modulo 2 pi i; raises at the poles.
+
+    Stirling's series for Re s >= 8, the recurrence Gamma(s) = Gamma(s + n)
+    / (s (s+1) ... (s+n-1)) up to there, and left of Re s = 1/2 the
+    reflection Gamma(s) Gamma(1 - s) = pi / sin(pi s), with sin(pi s) reduced
+    mod 2: Re s - n in [-1/2, 1/2] and the sign (-1)^n kept as i pi n, so
+    exp(-loggamma(s)) is 1/Gamma(s) with its sign."""
     s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        raise DomainError(f"gamma pole at s = {s}")
-    return complex(_special().gamma(s))
+    if s.real < 0.5:
+        n = round(s.real)
+        if s.imag == 0.0 and s.real == n:
+            raise DomainError(f"gamma pole at s = {s}")
+        e = complex(s.real - n, s.imag)
+        w = math.pi * e
+        # log sin w = log(pi e) + log(sin(w)/w), right where pi e is subnormal;
+        # past |Im w| = 20, where cmath.sin overflows, sin w = (+-i/2) e^(-+iw)
+        sign = math.copysign(1.0, w.imag)
+        log_sin = (math.log(math.pi) + cmath.log(e) + cmath.log(cmath.sin(w) / w) if abs(w.imag) <= 20.0
+                   else sign * (0.5j * math.pi - 1j * w) - math.log(2.0))
+        return math.log(math.pi) - log_sin - 1j * math.pi * (n % 2) - loggamma(1.0 - s)
+    shift = max(0, math.ceil(8.0 - s.real))
+    prod = math.prod(s + j for j in range(shift))
+    t = s + shift
+    r = 1.0 / (t * t)
+    ser = 0.0
+    for c in reversed(_STIRLING):
+        ser = ser * r + c
+    return (t - 0.5) * cmath.log(t) - t + 0.5 * math.log(2.0 * math.pi) + ser / t - cmath.log(prod)
 
 
-_SERIES_MAXIT = 100000
-_CF_MAXIT = 200000
+def e1(u: np.ndarray) -> np.ndarray:
+    """E1(u) for u >= 1, elementwise: the continued fraction e^-u / (u + 1 -
+    1/(u + 3 - 4/(u + 5 - 9/(u + 7 - ...)))) from depth _E1_DEPTH upwards,
+    whose truncation is below 1e-16 relative from u = 1."""
+    f = u + (2 * _E1_DEPTH + 1)
+    for k in range(_E1_DEPTH - 1, -1, -1):
+        f = u + (2 * k + 1) - (k + 1) ** 2 / f
+    return np.exp(-u) / f
 
 
-def _lower_series(A, z, tol=1e-17, exp=cmath.exp, log=math.log):
-    # gamma_low(A,z) = z^A e^-z sum_{n>=0} z^n / (A(A+1)...(A+n)); Re(A) > 0
+def _lower_series(A, z, tol):
+    """sum_{n>=0} z^n / (A (A+1) ... (A+n)) for Re A > 0, to relative tol:
+    the lower incomplete gamma(A, z) over its prefactor z^A e^-z.  Generic
+    over complex128 and mpmath numbers."""
     term = 1 / A
     total = term
-    for n in range(1, _SERIES_MAXIT):
+    for n in range(1, 100000):
         term *= z / (A + n)
         total += term
         if abs(term) < tol * abs(total):
             break
-    return exp(A * log(z) - z) * total
-
-
-def _upper_cf(A, z):
-    # modified Lentz for Gamma(A,z) = z^A e^-z / (z+1-A - 1(1-A)/(z+3-A - ...)) in complex128
-    tiny = 1e-300
-    b = z + 1 - A
-    C = b if abs(b) >= tiny else tiny
-    D = 0
-    f = C
-    for i in range(1, _CF_MAXIT):
-        an = -i * (i - A)
-        b = z + 2 * i + 1 - A
-        D = b + an * D
-        if abs(D) < tiny:
-            D = tiny
-        C = b + an / C
-        if abs(C) < tiny:
-            C = tiny
-        D = 1 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1) < 1e-16:
-            break
-    return cmath.exp(A * math.log(z) - z) / f
-
-
-def _lower_gamma(A, z):
-    """Lower incomplete gamma(A, z) in complex128, z > 0: the series for
-    Re A > 0.5, else Gamma(A) minus the continued fraction for the upper gamma."""
-    if A.real > 0.5:
-        return _lower_series(A, z)
-    return gamma_complex(A) - _upper_cf(A, z)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.special
 
 from densediv.errors import DomainError
 from densediv.families import FamilySpec, _chain_member, _ssf_within, is_member, membership_tables
 from densediv.integers import FactoredInteger, divisors, factorize
-from densediv.specfun import _OMEGA_UMAX, OMEGA_STEP, _hermite, _omega_23, _special
+from densediv.specfun import _OMEGA_UMAX, OMEGA_STEP, _hermite, _omega_23
 
 
 def within_one_ulp(value: float, printed: str) -> bool:
@@ -42,7 +43,7 @@ def k_airy(nu: float) -> float:
     if nu <= 0:
         raise DomainError("K(nu) requires nu > 0")
     zz = -((1.5 * nu) ** (2.0 / 3.0))
-    ai = _special().airy(zz)[0]
+    ai = scipy.special.airy(zz)[0]
     return float(2.0 * math.pi * (2.0 / (3.0 * nu)) ** (1.0 / 3.0) * ai)
 
 

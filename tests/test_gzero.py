@@ -87,6 +87,38 @@ class TestNegIntHelper:
 
 
 class TestSeriesRoute:
+    def test_K_as_from_mpmath_loggamma(self, monkeypatch):
+        # every K that find_lambda's samples take for a = 1/i, i <= 20 (float
+        # and high precision alike) is the one mpmath's loggamma at 30 digits
+        # gives; the log bounds differ by 5.7e-14 at most
+        orig = gzero._default_K
+        samples = []
+
+        def recording(*args, **kwargs):
+            samples.append((args, kwargs))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(gzero, "_default_K", recording)
+        gzero.g_eval_series.cache_clear()
+        for i in range(1, 21):
+            gzero._find_lambda.__wrapped__(Fraction(1, i))
+        monkeypatch.undo()
+        assert len(samples) > 500
+
+        def K_and_bound(args, kwargs):
+            return orig(*args, **kwargs), gzero._ln_bound_at_K0(float(args[0]), complex(args[1]))
+
+        ours = [K_and_bound(*x) for x in samples]
+
+        def mp_loggamma(s):
+            with mp.workdps(30):
+                return complex(mp.loggamma(mp.mpc(s)))
+
+        monkeypatch.setattr(gzero, "loggamma", mp_loggamma)
+        for x, (K, lnb) in zip(samples, ours):
+            K_mp, lnb_mp = K_and_bound(*x)
+            assert K_mp == K and abs(lnb_mp - lnb) <= 1e-12, x
+
     def test_bound_halves_per_K(self):
         b1 = g_series_error_bound(Fraction(1), 1.0, 20)
         b2 = g_series_error_bound(Fraction(1), 1.0, 21)
@@ -245,6 +277,18 @@ class TestFloatRouteNoise:
                 assert err <= 8.0 * noise, (a, s, err / noise)
                 if abs(s) <= 14.0:
                     assert err <= noise, (a, s, err / noise)
+
+    def test_far_left_samples(self):
+        # z^s e^-z underflows at a = 1/60, s = -170.5, while 1/Gamma(s) is
+        # finite: taken together the value is right.  Where 1/Gamma(s)
+        # overflows (Re s < -171.6) the route is not finite, so the sample
+        # goes to high precision.
+        a = Fraction(1, 60)
+        v, noise = gzero._g_series_float(a, complex(-170.5, 0.0))
+        assert abs(v) > 1e-3 and abs(v - g_eval_series(a, complex(-170.5, 0.0))[0]) <= noise
+        for re in (-171.7, -204.4):
+            v, noise = gzero._g_series_float(a, complex(re, 0.0))
+            assert not (math.isfinite(abs(v)) and math.isfinite(noise)), re
 
 
 SAMPLE_20 = [
@@ -437,6 +481,19 @@ class TestResidue:
         assert abs(cert.C - C1) < 1e-4
         # derivative at the zero: g'(-1) = 1 - e^-gamma
         assert 1.0 / cert.C == pytest.approx(1.0 - EXP_NEG_GAMMA, rel=1e-8)
+
+    @pytest.mark.parametrize("i", [1, 7, 20])
+    def test_C_matches_the_high_precision_contour(self, i):
+        # the same 16-point contour with every sample from g_eval_series:
+        # within 2e-12 relative (measured 1.2e-12 at i = 20)
+        a = Fraction(1, i)
+        cert = find_lambda(a)
+        r, M = gzero._CONTOUR_R, 16
+        tot = 0j
+        for j in range(M):
+            w = complex(r * math.cos(2 * math.pi * j / M), r * math.sin(2 * math.pi * j / M))
+            tot += w / gzero._g_exact_or_series(a, -cert.lam + w)
+        assert cert.C == pytest.approx((tot / M).real, rel=2e-12)
 
     def test_direct_call_consistency(self):
         cert = find_lambda(Fraction(1, 2))

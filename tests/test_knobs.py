@@ -1,7 +1,8 @@
 """Two ratchets on the package.  Options: defaulted parameters and defaulted
 dataclass fields under src/densediv; a new option has to raise the bound here
 on purpose, and removing one should lower it.  Reach: every top-level function
-and class under src/densediv is reached from a CLI command."""
+and class under src/densediv is reached from a CLI command.  And one rule:
+no module under src/densediv imports scipy."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,18 @@ def test_every_definition_reached_from_a_command():
     pkg = Path(densediv.__file__).parent
     sources = {p.stem: p.read_text() for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"}
     assert unreached(sources) == []
+
+
+def test_no_module_imports_scipy():
+    pkg = Path(densediv.__file__).parent
+    found = []
+    for p in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{p.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
